@@ -132,8 +132,9 @@ btrace-check:
 # killed mid-stream must reconnect and finish with the same cut
 # (replay from the server's ack). --sessions 7 makes the daemon count
 # its results and exit by itself, so the target cannot leak a server.
-# The same contract runs bounded and in-process inside `make test`
-# (test_serve).
+# Last, an idle daemon (no session ever connects) must log "stopped"
+# and exit within 2 s of SIGTERM. The same cut contract runs bounded
+# and in-process inside `make test` (test_serve).
 serve-check:
 	@dune build bin/wcpdetect.exe
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -163,7 +164,19 @@ serve-check:
 	cmp -s $$tmp/offline.out $$tmp/served.out \
 	  || { echo "serve-check: reconnect served cut != offline cut"; kill $$srv 2>/dev/null; exit 1; }; \
 	echo "serve-check: kill-and-reconnect OK ($$(cat $$tmp/served.out))"; \
-	wait $$srv || { echo "serve-check: server exited non-zero"; exit 1; }
+	wait $$srv || { echo "serve-check: server exited non-zero"; exit 1; }; \
+	$$wcp serve --listen unix:$$tmp/idle --spool $$tmp 2> $$tmp/idle.err & \
+	srv=$$!; \
+	i=0; while [ ! -S $$tmp/idle ] && [ $$i -lt 50 ]; do sleep 0.1; i=$$((i+1)); done; \
+	kill -TERM $$srv; \
+	i=0; while kill -0 $$srv 2>/dev/null && [ $$i -lt 20 ]; do sleep 0.1; i=$$((i+1)); done; \
+	if kill -0 $$srv 2>/dev/null; then \
+	  kill -9 $$srv; echo "serve-check: idle daemon ignored SIGTERM for 2 s"; exit 1; \
+	fi; \
+	wait $$srv || { echo "serve-check: idle daemon exited non-zero on SIGTERM"; exit 1; }; \
+	grep -q stopped $$tmp/idle.err \
+	  || { echo "serve-check: idle daemon did not log stopped"; exit 1; }; \
+	echo "serve-check: idle SIGTERM OK"
 
 # Full-corpus slicing agreement sweep: every detector, dense vs sliced
 # (--slice / Detection.options ~slice:true), across sizes x predicate

@@ -1,251 +1,7 @@
 open Wcp_trace
 open Wcp_core
 
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  let rec emit buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        (* %.17g round-trips any double through float_of_string. *)
-        let s = Printf.sprintf "%.17g" f in
-        Buffer.add_string buf s;
-        (* Keep it a JSON number that re-parses as a float. *)
-        if String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') s then
-          Buffer.add_string buf ".0"
-    | Str s ->
-        Buffer.add_char buf '"';
-        String.iter
-          (fun c ->
-            match c with
-            | '"' -> Buffer.add_string buf "\\\""
-            | '\\' -> Buffer.add_string buf "\\\\"
-            | '\n' -> Buffer.add_string buf "\\n"
-            | '\t' -> Buffer.add_string buf "\\t"
-            | '\r' -> Buffer.add_string buf "\\r"
-            | c when Char.code c < 0x20 ->
-                Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-            | c -> Buffer.add_char buf c)
-          s;
-        Buffer.add_char buf '"'
-    | List xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit buf (Str k);
-            Buffer.add_char buf ':';
-            emit buf v)
-          kvs;
-        Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 4096 in
-    emit buf t;
-    Buffer.contents buf
-
-  (* Recursive-descent parser, sufficient for the documents this module
-     emits (and ordinary hand-edited baselines). *)
-  let parse s =
-    let len = String.length s in
-    let pos = ref 0 in
-    let error fmt =
-      Printf.ksprintf (fun m ->
-          raise (Parse_error (Printf.sprintf "at byte %d: %s" !pos m)))
-        fmt
-    in
-    let peek () = if !pos < len then Some s.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < len
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < len && s.[!pos] = c then incr pos
-      else error "expected %c" c
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= len && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else error "bad literal"
-    in
-    let number () =
-      let start = !pos in
-      let is_float = ref false in
-      while
-        !pos < len
-        &&
-        match s.[!pos] with
-        | '0' .. '9' | '-' | '+' -> true
-        | '.' | 'e' | 'E' ->
-            is_float := true;
-            true
-        | _ -> false
-      do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      if !is_float then Float (float_of_string tok)
-      else
-        match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> Float (float_of_string tok)
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= len then error "unterminated string";
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            (if !pos >= len then error "unterminated escape";
-             match s.[!pos] with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'u' ->
-                 if !pos + 4 >= len then error "bad \\u escape";
-                 let code =
-                   int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                 in
-                 (* Only BMP code points below 0x80 are expected here. *)
-                 if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                 else error "non-ASCII \\u escape unsupported";
-                 pos := !pos + 4
-             | c -> error "bad escape \\%c" c);
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | None -> error "unexpected end of input"
-      | Some '{' ->
-          incr pos;
-          skip_ws ();
-          if peek () = Some '}' then begin
-            incr pos;
-            Obj []
-          end
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  incr pos;
-                  members ((k, v) :: acc)
-              | Some '}' ->
-                  incr pos;
-                  Obj (List.rev ((k, v) :: acc))
-              | _ -> error "expected , or } in object"
-            in
-            members []
-          end
-      | Some '[' ->
-          incr pos;
-          skip_ws ();
-          if peek () = Some ']' then begin
-            incr pos;
-            List []
-          end
-          else begin
-            let rec items acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  incr pos;
-                  items (v :: acc)
-              | Some ']' ->
-                  incr pos;
-                  List (List.rev (v :: acc))
-              | _ -> error "expected , or ] in array"
-            in
-            items []
-          end
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> len then error "trailing garbage";
-    v
-
-  let member name = function
-    | Obj kvs -> (
-        match List.assoc_opt name kvs with
-        | Some v -> v
-        | None -> raise (Parse_error ("missing field " ^ name)))
-    | _ -> raise (Parse_error ("not an object looking up " ^ name))
-
-  let to_int = function
-    | Int i -> i
-    | j -> raise (Parse_error ("expected int, got " ^ to_string j))
-
-  let to_float = function
-    | Float f -> f
-    | Int i -> float_of_int i
-    | j -> raise (Parse_error ("expected number, got " ^ to_string j))
-
-  let to_str = function
-    | Str s -> s
-    | j -> raise (Parse_error ("expected string, got " ^ to_string j))
-
-  let to_list = function
-    | List l -> l
-    | j -> raise (Parse_error ("expected array, got " ^ to_string j))
-end
+module Json = Wcp_obs.Export.Json
 
 (* ------------------------------------------------------------------ *)
 (* Jobs and metrics                                                    *)
@@ -364,6 +120,11 @@ type metrics = {
   alloc_bytes : int;
 }
 
+let algo_of job =
+  match Algo.of_string job.algo with
+  | Some a -> a
+  | None -> invalid_arg ("Bench_json: unknown algo " ^ job.algo)
+
 let spec_for job comp =
   match job.experiment with
   | "E4" | "E8" -> Spec.make comp [| 0; job.n / 2 |]
@@ -422,33 +183,19 @@ let run_sim ?recorder job =
      (identical outcome, remapped cut), param=0 on the dense run. *)
   let slice = job.experiment = "E17" && job.param <> 0 in
   let options = Detection.options ~delta ~slice () in
+  (* E3 sweeps the multi-token group count in [param]; elsewhere
+     [param] means something else and multi-token runs 2 groups (the
+     E3 sweet spot). *)
+  let groups = if job.experiment = "E3" then job.param else 2 in
+  (* E18: [param] is the domain count of the parallel checker itself
+     (the detector's own fan-out, not the bench harness parallelism);
+     param=0 falls back to WCP_DOMAINS. *)
+  let domains =
+    if job.experiment = "E18" && job.param > 0 then Some job.param else None
+  in
   let r =
-    match job.algo with
-    | "token-vc" -> Token_vc.detect ?fault ?recorder ~options ~seed comp spec
-    | "token-dd" -> Token_dd.detect ?fault ?recorder ~options ~seed comp spec
-    | "token-dd-par" ->
-        Token_dd.detect ?fault ?recorder ~parallel:true ~options ~seed comp
-          spec
-    | "token-multi" ->
-        (* In E16/E17/E19 [param] is the delta/slice/restart flag, so
-           the group count is pinned at 2 (the E3 sweet spot). *)
-        let groups =
-          if
-            job.experiment = "E16" || job.experiment = "E17"
-            || job.experiment = "E19"
-          then 2
-          else job.param
-        in
-        Token_multi.detect ?fault ?recorder ~options ~groups ~seed comp spec
-    | "checker" ->
-        Checker_centralized.detect ?recorder ~options ~seed comp spec
-    | "parallel" ->
-        (* E18: [param] is the domain count of the parallel checker
-           itself (the detector's own fan-out, not the bench harness
-           parallelism); param=0 falls back to WCP_DOMAINS. *)
-        let domains = if job.param > 0 then Some job.param else None in
-        Checker_parallel.detect ?recorder ?domains ~options ~seed comp spec
-    | a -> invalid_arg ("Bench_json.run_job: unknown algo " ^ a)
+    Algo.run (algo_of job) ?fault ?recorder ~groups ?domains ~options ~seed
+      comp spec
   in
   (comp, r)
 
@@ -597,7 +344,7 @@ let run_e21 job =
       else Trace_codec.write_file path (Generator.random ~params ~seed ());
       let trace_bytes = (Unix.stat path).Unix.st_size in
       let procs = Array.init job.n Fun.id in
-      let keep_rest = job.algo = "token-dd" in
+      let algo = algo_of job in
       let live_words () =
         Gc.full_major ();
         (Gc.stat ()).Gc.live_words
@@ -609,7 +356,7 @@ let run_e21 job =
       let comp, remap =
         if streamed then begin
           let sl =
-            Wcp_slice.Slice.for_spec_source ~keep_rest
+            Wcp_slice.Slice.for_spec_source ~keep_rest:(Algo.full_width algo)
               (Btrace.source (Btrace.openfile path))
               ~procs
           in
@@ -624,13 +371,7 @@ let run_e21 job =
       Gc.minor ();
       let alloc0 = Gc.allocated_bytes () in
       let t0 = Unix.gettimeofday () in
-      let r =
-        match job.algo with
-        | "token-vc" -> Token_vc.detect ~options ~seed comp spec
-        | "token-dd" -> Token_dd.detect ~options ~seed comp spec
-        | "checker" -> Checker_centralized.detect ~options ~seed comp spec
-        | a -> invalid_arg ("Bench_json.run_e21: unsupported algo " ^ a)
-      in
+      let r = Algo.run algo ~options ~seed comp spec in
       (* E21's wall covers the whole pipeline, load included: the load
          step IS what this experiment benchmarks, and the detect-only
          slice of the big row is small enough that scheduler jitter
@@ -713,7 +454,7 @@ let run_e21 job =
    temp dir; [sessions] concurrent [Wcp_serve.Client] feeders each
    stream the SAME generated computation (same seed), so every served
    result must agree — with each other and with the offline streamed
-   reference ([Run_common.with_source] with the exact dispatch
+   reference ([Run_common.on_slice] through the same [Algo.run]
    [Wcp_serve.Session] uses). [outcome] spells the common served cut,
    or a "mismatch" marker; messages/bits/hops/events are summed across
    sessions and deterministic. events_per_sec (aggregate ingest over
@@ -747,18 +488,14 @@ let run_e22 job =
   let comp = Generator.random ~params ~seed () in
   let procs = Array.init job.n Fun.id in
   let offline =
-    let keep_rest = job.algo = "token-dd" in
-    let options = Detection.default_options in
+    let algo = algo_of job in
     let r =
-      Run_common.with_source ~keep_rest
-        (Computation.Stream.of_computation comp)
-        ~procs
-        ~run:(fun sliced spec ->
-          match job.algo with
-          | "token-vc" -> Token_vc.detect ~options ~seed sliced spec
-          | "token-dd" -> Token_dd.detect ~options ~seed sliced spec
-          | "checker" -> Checker_centralized.detect ~options ~seed sliced spec
-          | a -> invalid_arg ("Bench_json.run_e22: unsupported algo " ^ a))
+      Run_common.on_slice ~procs
+        (fun () ->
+          Wcp_slice.Slice.for_spec_source ~keep_rest:(Algo.full_width algo)
+            (Computation.Stream.of_computation comp)
+            ~procs)
+        ~run:(Algo.run algo ~options:Detection.default_options ~seed)
     in
     Format.asprintf "%a" Detection.pp_outcome r.Detection.outcome
   in
@@ -988,7 +725,7 @@ let run_job job =
       timed_stream := stream;
       `Sim cr
     end
-    else if job.algo = "adversary" then begin
+    else if job.experiment = "E6" then begin
       (* E6: the §5 lower-bound game is deterministic and has no
          simulation behind it; map its two counters into the shared
          record shape. *)
@@ -1104,12 +841,11 @@ let run_job job =
       let slice_states, slice_ns =
         if job.experiment = "E17" && job.param <> 0 then begin
           let spec = spec_for job comp in
-          let keep_rest =
-            job.algo = "token-dd" || job.algo = "token-dd-par"
-          in
           let t0 = Unix.gettimeofday () in
           let sl =
-            Wcp_slice.Slice.for_spec ~keep_rest comp
+            Wcp_slice.Slice.for_spec
+              ~keep_rest:(Algo.full_width (algo_of job))
+              comp
               ~procs:(Spec.procs spec)
           in
           let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
@@ -1628,26 +1364,13 @@ let metrics_of_json j =
   }
 
 let emit ~profile results =
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str schema);
-        ("profile", Json.Str (profile_name profile));
-        ("jobs", Json.Int (Array.length results));
-        ( "results",
-          Json.List (Array.to_list (Array.map metrics_to_json results)) );
-      ]
-  in
   (* One record per line keeps committed baselines diffable. *)
   let b = Buffer.create 16384 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": %s,\n"
-                         (Json.to_string (Json.member "schema" doc)));
-  Buffer.add_string b (Printf.sprintf "  \"profile\": %s,\n"
-                         (Json.to_string (Json.member "profile" doc)));
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n"
-                         (Array.length results));
-  Buffer.add_string b "  \"results\": [\n";
+  Printf.bprintf b "{\n  \"schema\": %s,\n  \"profile\": %s,\n"
+    (Json.to_string (Json.Str schema))
+    (Json.to_string (Json.Str (profile_name profile)));
+  Printf.bprintf b "  \"jobs\": %d,\n  \"results\": [\n"
+    (Array.length results);
   Array.iteri
     (fun i r ->
       Buffer.add_string b "    ";
@@ -1662,7 +1385,7 @@ let parse_doc s =
   let doc = Json.parse s in
   let got = Json.to_str (Json.member "schema" doc) in
   if got <> schema then
-    raise (Json.Parse_error (Printf.sprintf "schema %S, expected %S" got schema));
+    Json.error "schema %S, expected %S" got schema;
   let profile = profile_of_name (Json.to_str (Json.member "profile" doc)) in
   let results =
     Array.of_list (List.map metrics_of_json (Json.to_list (Json.member "results" doc)))

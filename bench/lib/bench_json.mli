@@ -9,36 +9,19 @@
     All fields except [wall_ns] and [alloc_bytes] are deterministic
     functions of the job parameters: two runs of the same profile — on
     any machine, at any domain count — agree on them exactly, and
-    {!compare_runs} enforces this against a committed baseline. *)
+    {!compare_runs} enforces this against a committed baseline.
 
-(** Hand-rolled JSON (the toolchain has no JSON package). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  val to_string : t -> string
-  val parse : string -> t  (** @raise Parse_error on malformed input *)
-
-  val member : string -> t -> t
-  val to_int : t -> int
-  val to_float : t -> float
-  val to_str : t -> string
-  val to_list : t -> t list
-end
+    Jobs name their detector as data; it is looked up in
+    {!Wcp_core.Algo} and run through {!Wcp_core.Algo.run}, the same
+    path the CLI and the streaming service take. Documents are written
+    and read with {!Wcp_obs.Export.Json}, the codec of the event and
+    serve streams. *)
 
 type job = {
   experiment : string;  (** "E1".."E9", "E15".."E22" *)
   algo : string;
-      (** "token-vc", "token-dd", "token-dd-par", "token-multi",
-          "checker", "parallel", "adversary" *)
+      (** a {!Wcp_core.Algo.of_string} name — job keys spell
+          multi-token "token-multi" — or "adversary" (E6) *)
   n : int;
   m : int;
   p_pred : float;
@@ -201,7 +184,8 @@ val emit : profile:profile -> metrics array -> string
 (** JSON document, one result record per line. *)
 
 val parse_doc : string -> profile * metrics array
-(** @raise Json.Parse_error on malformed input or schema mismatch. *)
+(** @raise Wcp_obs.Export.Json.Error on malformed input or schema
+    mismatch. *)
 
 val strip_timing : metrics -> metrics
 (** Zero the machine-dependent fields, for exact comparisons. *)

@@ -280,26 +280,18 @@ let e7 () =
     "checker" "tok-vc" "multi" "tok-dd" "dd-par";
   let check name comp spec seed =
     let expected = Oracle.first_cut comp spec in
-    let ok o = if Detection.outcome_equal o expected then "ok" else "FAIL" in
-    let chk = (Checker_centralized.detect ~seed comp spec).outcome in
-    let vc = (Token_vc.detect ~seed comp spec).outcome in
-    let mu =
-      (Token_multi.detect ~groups:(min 2 (Spec.width spec)) ~seed comp spec)
-        .outcome
-    in
-    let dd =
-      Detection.project_outcome spec (Token_dd.detect ~seed comp spec).outcome
-    in
-    let dp =
-      Detection.project_outcome spec
-        (Token_dd.detect ~parallel:true ~seed comp spec).outcome
+    let ok a =
+      let r = Algo.run a ~options:Detection.default_options ~seed comp spec in
+      if Detection.outcome_equal (Algo.spec_outcome a spec r) expected then "ok"
+      else "FAIL"
     in
     Printf.printf "%-22s %8s %8s %8s %8s %8s %8s\n" name
       (match expected with
       | Detection.Detected _ -> "detect"
       | Detection.No_detection -> "none"
       | Detection.Undetectable_crashed _ -> "crash")
-      (ok chk) (ok vc) (ok mu) (ok dd) (ok dp)
+      (ok Algo.Checker) (ok Algo.Token_vc) (ok Algo.Multi_token)
+      (ok Algo.Token_dd) (ok Algo.Token_dd_par)
   in
   List.iter
     (fun w ->
@@ -919,30 +911,27 @@ let micro () =
   let mk name f = Test.make ~name (Staged.stage f) in
   let test =
     Test.make_grouped ~name:"detect"
-      [
-        mk "oracle" (fun () -> ignore (Oracle.first_cut comp spec));
-        mk "checker" (fun () ->
-            ignore (Checker_centralized.detect ~seed:5L comp spec));
-        mk "token-vc" (fun () -> ignore (Token_vc.detect ~seed:5L comp spec));
-        mk "multi-token" (fun () ->
-            ignore (Token_multi.detect ~groups:2 ~seed:5L comp spec));
-        mk "token-dd" (fun () -> ignore (Token_dd.detect ~seed:5L comp spec));
-        mk "token-dd-par" (fun () ->
-            ignore (Token_dd.detect ~parallel:true ~seed:5L comp spec));
-        mk "checker-parallel d=4" (fun () ->
-            ignore (Checker_parallel.detect ~domains:4 ~seed:5L comp spec));
-        (* The pooled fan-out itself: with the scoped pool warm this is
-           dispatch + barrier cost, no domain spawns (satellite of the
-           E18 work; Parallel.spawns stays flat across iterations). *)
-        mk "parallel-map d=4 (pooled)" (fun () ->
-            ignore
-              (Wcp_util.Parallel.map ~domains:4
-                 (fun x -> x * x)
-                 (Array.init 256 Fun.id)));
-        mk "lower-bound n=16 m=16" (fun () ->
-            let world, _ = Wcp_lowerbound.Adversary.make ~n:16 ~m:16 in
-            ignore (Wcp_lowerbound.Detector.run world));
-      ]
+      ([ mk "oracle" (fun () -> ignore (Oracle.first_cut comp spec)) ]
+      @ List.map
+          (fun a ->
+            mk (Algo.name a) (fun () ->
+                ignore
+                  (Algo.run a ~domains:4 ~options:Detection.default_options
+                     ~seed:5L comp spec)))
+          Algo.all
+      @ [
+          (* The pooled fan-out itself: with the scoped pool warm this is
+             dispatch + barrier cost, no domain spawns (satellite of the
+             E18 work; Parallel.spawns stays flat across iterations). *)
+          mk "parallel-map d=4 (pooled)" (fun () ->
+              ignore
+                (Wcp_util.Parallel.map ~domains:4
+                   (fun x -> x * x)
+                   (Array.init 256 Fun.id)));
+          mk "lower-bound n=16 m=16" (fun () ->
+              let world, _ = Wcp_lowerbound.Adversary.make ~n:16 ~m:16 in
+              ignore (Wcp_lowerbound.Detector.run world));
+        ])
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -1037,7 +1026,7 @@ let read_file f =
 
 let parse_file f =
   match Wcp_bench.Bench_json.parse_doc (read_file f) with
-  | exception Wcp_bench.Bench_json.Json.Parse_error msg ->
+  | exception Wcp_obs.Export.Json.Error msg ->
       Printf.eprintf "perf-check: %s is not a wcp-bench document (%s)\n" f msg;
       exit 1
   | doc -> doc

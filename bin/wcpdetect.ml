@@ -286,16 +286,7 @@ let workload_cmd =
 (* detect                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type algo =
-  | Vc
-  | Multi
-  | Dd
-  | Dd_par
-  | Checker
-  | Parallel
-  | Oracle_a
-  | Cm
-  | Strong_a
+type algo = Detector of Algo.t | Oracle_a | Cm | Strong_a
 
 let algo_arg =
   let doc =
@@ -307,18 +298,13 @@ let algo_arg =
     value
     & opt
         (enum
-           [
-             ("token-vc", Vc);
-             ("multi-token", Multi);
-             ("token-dd", Dd);
-             ("token-dd-par", Dd_par);
-             ("checker", Checker);
-             ("parallel", Parallel);
-             ("oracle", Oracle_a);
-             ("cooper-marzullo", Cm);
-             ("strong", Strong_a);
-           ])
-        Vc
+           (List.map (fun a -> (Algo.name a, Detector a)) Algo.all
+           @ [
+               ("oracle", Oracle_a);
+               ("cooper-marzullo", Cm);
+               ("strong", Strong_a);
+             ]))
+        (Detector Algo.Token_vc)
     & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
 
 let groups_arg =
@@ -446,48 +432,31 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
               path
           end )
 
+let needs_detector what =
+  prerr_endline
+    (Printf.sprintf "wcpdetect: %s needs a detection algorithm (%s)" what
+       Algo.names);
+  exit 2
+
 let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
     ~seed comp spec =
-  let options = Detection.options ~slice () in
-  (match (slice, algo) with
-  | true, (Oracle_a | Cm | Strong_a) ->
-      prerr_endline
-        "wcpdetect: --slice needs a detection algorithm (token-vc, \
-         multi-token, token-dd, token-dd-par, checker or parallel)";
-      exit 2
-  | _ -> ());
-  (match (fault, algo) with
-  | Some _, (Checker | Parallel | Oracle_a | Cm | Strong_a) ->
-      prerr_endline
-        "wcpdetect: fault injection is only supported for the token algorithms";
-      exit 2
-  | _ -> ());
-  (match (recorder, algo) with
-  | Some _, (Oracle_a | Cm | Strong_a) ->
-      prerr_endline
-        "wcpdetect: tracing needs a detection algorithm (token-vc, \
-         multi-token, token-dd, token-dd-par, checker or parallel)";
-      exit 2
-  | _ -> ());
+  let detector =
+    match algo with Detector a -> Some a | Oracle_a | Cm | Strong_a -> None
+  in
+  if slice && detector = None then needs_detector "--slice";
+  let fault_ok = Option.fold ~none:false ~some:Algo.fault_ok detector in
+  if Option.is_some fault && not fault_ok then begin
+    prerr_endline
+      "wcpdetect: fault injection is only supported for the token algorithms";
+    exit 2
+  end;
+  if Option.is_some recorder && detector = None then needs_detector "tracing";
   match algo with
-  | Vc ->
+  | Detector a ->
       Some
-        (Token_vc.detect ?fault ?recorder ~ckpt_every ~options ~seed comp spec)
-  | Multi ->
-      Some
-        (Token_multi.detect ?fault ?recorder ~ckpt_every ~options
-           ~groups:(min groups (Spec.width spec))
+        (Algo.run a ?fault ?recorder ~ckpt_every ~groups
+           ~options:(Detection.options ~slice ())
            ~seed comp spec)
-  | Dd ->
-      Some
-        (Token_dd.detect ?fault ?recorder ~ckpt_every ~options ~seed comp spec)
-  | Dd_par ->
-      Some
-        (Token_dd.detect ?fault ?recorder ~ckpt_every ~options ~parallel:true
-           ~seed comp spec)
-  | Checker ->
-      Some (Checker_centralized.detect ?recorder ~options ~seed comp spec)
-  | Parallel -> Some (Checker_parallel.detect ?recorder ~options ~seed comp spec)
   | Oracle_a ->
       Format.printf "oracle: %a@." Detection.pp_outcome
         (Oracle.first_cut comp spec);
@@ -534,13 +503,11 @@ let detect_cmd =
             "wcpdetect: --stream already detects on the slice; drop --slice";
           exit 2
         end;
-        (match algo with
-        | Vc | Multi | Dd | Dd_par | Checker | Parallel -> ()
-        | Oracle_a | Cm | Strong_a ->
-            prerr_endline
-              "wcpdetect: --stream needs a detection algorithm (token-vc, \
-               multi-token, token-dd, token-dd-par, checker or parallel)";
-            exit 2);
+        let detector =
+          match algo with
+          | Detector a -> a
+          | Oracle_a | Cm | Strong_a -> needs_detector "--stream"
+        in
         let fail fmt =
           Printf.ksprintf
             (fun msg ->
@@ -558,16 +525,13 @@ let detect_cmd =
           | None -> Array.init (Btrace.num_processes reader) Fun.id
           | Some s -> parse_procs s
         in
-        (* Direct dependence's cuts span all N processes, so the slice
-           must keep non-spec processes (same policy as the detectors'
-           own --slice paths). *)
-        let keep_rest =
-          match algo with Dd | Dd_par -> true | _ -> false
-        in
         try
           Some
-            (Run_common.with_source ?recorder ~keep_rest
-               (Btrace.source reader) ~procs:procs_arr
+            (Run_common.on_slice ?recorder ~procs:procs_arr
+               (fun () ->
+                 Wcp_slice.Slice.for_spec_source
+                   ~keep_rest:(Algo.full_width detector)
+                   (Btrace.source reader) ~procs:procs_arr)
                ~run:(fun sliced spec' ->
                  match
                    run_algo ?fault ?recorder ~ckpt_every algo ~groups ~seed
@@ -924,11 +888,20 @@ let serve_cmd =
        threads decode here) the same nursery the shard workers get. *)
     Wcp_serve.Server.tune_gc cfg.Wcp_serve.Server.gc_minor_words;
     let srv = Wcp_serve.Server.create cfg in
-    let on_signal _ = Wcp_serve.Server.stop srv in
-    (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-     with Invalid_argument _ | Sys_error _ -> ());
-    (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-     with Invalid_argument _ | Sys_error _ -> ());
+    (* An OCaml signal handler runs only once some thread is back in
+       OCaml code, and an idle daemon has every thread parked in
+       select or a condition wait. So block SIGINT/SIGTERM before any
+       thread or domain exists (they inherit the mask) and take them
+       synchronously on a thread of their own. *)
+    let signals = [ Sys.sigint; Sys.sigterm ] in
+    ignore (Thread.sigmask Unix.SIG_BLOCK signals : int list);
+    ignore
+      (Thread.create
+         (fun () ->
+           ignore (Thread.wait_signal signals : int);
+           Wcp_serve.Server.stop srv)
+         ()
+        : Thread.t);
     Wcp_serve.Server.run srv;
     Printf.printf "served %d session%s\n"
       (Wcp_serve.Server.completed srv)
@@ -953,16 +926,12 @@ let feed_cmd =
       required & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
   in
   let algo =
-    let doc =
-      "Detection algorithm: token-vc, multi-token, token-dd, token-dd-par, \
-       checker or parallel."
-    in
-    let names =
-      [ "token-vc"; "multi-token"; "token-dd"; "token-dd-par"; "checker"; "parallel" ]
-    in
+    let doc = "Detection algorithm: " ^ Algo.names ^ "." in
     Arg.(
       value
-      & opt (enum (List.map (fun s -> (s, s)) names)) "token-vc"
+      & opt
+          (enum (List.map (fun a -> (Algo.name a, Algo.name a)) Algo.all))
+          (Algo.name Algo.Token_vc)
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let session =
@@ -1100,7 +1069,12 @@ let chaos_cmd =
     let doc = "Algorithm under test: token-vc, multi-token or token-dd." in
     Arg.(
       value
-      & opt (enum [ ("token-vc", Vc); ("multi-token", Multi); ("token-dd", Dd) ]) Vc
+      & opt
+          (enum
+             (List.map
+                (fun a -> (Algo.name a, a))
+                [ Algo.Token_vc; Algo.Multi_token; Algo.Token_dd ]))
+          Algo.Token_vc
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let run trace algo groups procs seed drop dup crashes restarts ckpt_every
@@ -1119,31 +1093,14 @@ let chaos_cmd =
     let recorder, finish_metrics =
       setup_metrics ~recorder ~metrics_out ~metrics_every
     in
-    let name, r, scope =
-      match algo with
-      | Vc ->
-          ( "token-vc",
-            Token_vc.detect ~fault ?recorder ~ckpt_every ~seed comp spec,
-            `Spec )
-      | Multi ->
-          ( "multi-token",
-            Token_multi.detect ~fault ?recorder ~ckpt_every
-              ~groups:(min groups (Spec.width spec))
-              ~seed comp spec,
-            `Spec )
-      | _ ->
-          ( "token-dd",
-            Token_dd.detect ~fault ?recorder ~ckpt_every ~seed comp spec,
-            `Full )
+    let r =
+      Algo.run algo ~fault ?recorder ~ckpt_every ~groups
+        ~options:Detection.default_options ~seed comp spec
     in
     (match (recorder, trace_out) with
     | Some rec_, Some path -> write_trace rec_ ~path ~format:trace_format
     | _ -> ());
-    let out =
-      match scope with
-      | `Spec -> r.Detection.outcome
-      | `Full -> Detection.project_outcome spec r.Detection.outcome
-    in
+    let out = Algo.spec_outcome algo spec r in
     let oracle =
       match out with
       | Detection.Undetectable_crashed _ -> "degraded"
@@ -1156,7 +1113,7 @@ let chaos_cmd =
     Format.printf
       "chaos %s drop=%.2f dup=%.2f crashes=%d: %a | retransmits=%d \
        dup-suppressed=%d net-drop=%d net-dup=%d crash-drop=%d | oracle: %s@."
-      name drop dup (List.length crashes) Detection.pp_outcome out
+      (Algo.name algo) drop dup (List.length crashes) Detection.pp_outcome out
       (Stats.total_retransmits st)
       (Stats.total_dups_suppressed st)
       (Stats.net_dropped st) (Stats.net_duplicated st) (Stats.crash_dropped st)
@@ -1195,14 +1152,14 @@ let compare_cmd =
     Format.printf "%-14s %8s %10s %9s %9s %9s %6s %6s@." "algorithm" "msgs"
       "bits" "work" "max-work" "max-space" "hops" "time";
     List.iter
-      (fun (name, r, scope) ->
-        let out =
-          match scope with
-          | `Spec -> r.Detection.outcome
-          | `Full -> Detection.project_outcome spec r.Detection.outcome
+      (fun a ->
+        let r =
+          Algo.run a ~options:Detection.default_options ~seed comp spec
         in
-        let agree = Detection.outcome_equal out oracle in
-        Format.printf "%-14s %8d %10d %9d %9d %9d %6d %6.1f%s@." name
+        let agree =
+          Detection.outcome_equal (Algo.spec_outcome a spec r) oracle
+        in
+        Format.printf "%-14s %8d %10d %9d %9d %9d %6d %6.1f%s@." (Algo.name a)
           (Stats.total_sent r.Detection.stats)
           (Stats.total_bits r.Detection.stats)
           (Stats.total_work r.Detection.stats)
@@ -1210,16 +1167,7 @@ let compare_cmd =
           (Stats.max_space r.Detection.stats)
           r.Detection.extras.Detection.token_hops r.Detection.sim_time
           (if agree then "" else "  << DISAGREES"))
-      [
-        ("checker", Checker_centralized.detect ~seed comp spec, `Spec);
-        ("parallel", Checker_parallel.detect ~seed comp spec, `Spec);
-        ("token-vc", Token_vc.detect ~seed comp spec, `Spec);
-        ( "multi-token",
-          Token_multi.detect ~groups:(min 2 (Spec.width spec)) ~seed comp spec,
-          `Spec );
-        ("token-dd", Token_dd.detect ~seed comp spec, `Full);
-        ("token-dd-par", Token_dd.detect ~parallel:true ~seed comp spec, `Full);
-      ]
+      Algo.[ Checker; Parallel; Token_vc; Multi_token; Token_dd; Token_dd_par ]
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Run every algorithm on a trace and tabulate.")

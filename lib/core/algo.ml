@@ -1,0 +1,51 @@
+type t = Token_vc | Multi_token | Token_dd | Token_dd_par | Checker | Parallel
+
+let all = [ Token_vc; Multi_token; Token_dd; Token_dd_par; Checker; Parallel ]
+
+let name = function
+  | Token_vc -> "token-vc"
+  | Multi_token -> "multi-token"
+  | Token_dd -> "token-dd"
+  | Token_dd_par -> "token-dd-par"
+  | Checker -> "checker"
+  | Parallel -> "parallel"
+
+let of_string = function
+  | "token-multi" -> Some Multi_token
+  | s -> List.find_opt (fun a -> name a = s) all
+
+let names =
+  match List.rev_map name all with
+  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | [] -> ""
+
+let full_width = function
+  | Token_dd | Token_dd_par -> true
+  | Token_vc | Multi_token | Checker | Parallel -> false
+
+let spec_outcome a spec (r : Detection.result) =
+  if full_width a then Detection.project_outcome spec r.outcome else r.outcome
+
+let fault_ok = function
+  | Token_vc | Multi_token | Token_dd | Token_dd_par -> true
+  | Checker | Parallel -> false
+
+let run a ?fault ?recorder ?ckpt_every ?(groups = 2) ?domains ~options ~seed
+    comp spec =
+  if Option.is_some fault && not (fault_ok a) then
+    invalid_arg ("Algo.run: no fault injection for " ^ name a);
+  match a with
+  | Token_vc ->
+      Token_vc.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
+  | Multi_token ->
+      Token_multi.detect ?fault ?recorder ?ckpt_every ~options
+        ~groups:(min groups (Spec.width spec))
+        ~seed comp spec
+  | Token_dd ->
+      Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
+  | Token_dd_par ->
+      Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~parallel:true
+        ~seed comp spec
+  | Checker -> Checker_centralized.detect ?recorder ~options ~seed comp spec
+  | Parallel ->
+      Checker_parallel.detect ?recorder ?domains ~options ~seed comp spec

@@ -135,6 +135,24 @@ val finish :
     permanent crash explains it (a protocol bug, surfaced loudly for
     the test suite). *)
 
+val on_slice :
+  ?recorder:Wcp_obs.Recorder.t ->
+  procs:int array ->
+  (unit -> Wcp_slice.Slice.t) ->
+  run:(Computation.t -> Spec.t -> Detection.result) ->
+  Detection.result
+(** [on_slice ~procs build ~run]: emit the ["slice"] phase mark into
+    [recorder] (it legally precedes the inner run's [Run_meta] —
+    slicing happens before any engine exists), call [build] for the
+    slice, run the detector on it with the spec [procs], and remap the
+    detected cut back to dense coordinates. This is the one
+    slice-then-detect path: the [--slice] option of every detector
+    ({!with_slice}), [detect --stream] (a {!Wcp_slice.Slice.for_spec_source}
+    thunk over an mmap'd btrace, so the dense run is never
+    materialised) and the streaming service (the finished
+    {!Wcp_slice.Slice.Incremental} builder) all go through it, so their
+    cuts agree with each other cut for cut. *)
+
 val with_slice :
   ?recorder:Wcp_obs.Recorder.t ->
   keep_rest:bool ->
@@ -142,25 +160,8 @@ val with_slice :
   Spec.t ->
   run:(Computation.t -> Spec.t -> Detection.result) ->
   Detection.result
-(** Emit the ["slice"] phase mark into [recorder] (it legally precedes
-    the inner run's [Run_meta] — slicing happens before any engine
-    exists), slice the computation for the spec (see {!Wcp_slice.Slice.for_spec}),
-    run the detector on the slice, and remap the detected cut back to
-    dense coordinates. Every [detect ?options] entry point with
+(** {!on_slice} over {!Wcp_slice.Slice.for_spec} of a dense
+    computation. Every [detect ?options] entry point with
     [options.slice = true] is this wrapper around its dense self;
     [keep_rest] is [true] for the algorithms whose cuts span all [N]
     processes (direct dependence, GCP). *)
-
-val with_source :
-  ?recorder:Wcp_obs.Recorder.t ->
-  keep_rest:bool ->
-  Computation.Stream.source ->
-  procs:int array ->
-  run:(Computation.t -> Spec.t -> Detection.result) ->
-  Detection.result
-(** {!with_slice} fed by a streaming cursor instead of a dense
-    computation: the slice is built directly from the source (see
-    {!Wcp_slice.Slice.for_spec_source}), so detection over an mmap'd
-    {!Wcp_trace.Btrace} reader never materialises the dense run. The
-    detected cut is remapped to dense coordinates exactly as in
-    {!with_slice}, so the two paths agree cut-for-cut. *)

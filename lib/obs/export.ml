@@ -303,9 +303,11 @@ module Json = struct
     | Bool b -> b
     | j -> error "expected bool, got %s" (to_string j)
 
-  let to_int_array = function
-    | Arr xs -> Array.of_list (List.map to_int xs)
+  let to_list = function
+    | Arr xs -> xs
     | j -> error "expected array, got %s" (to_string j)
+
+  let to_int_array j = Array.of_list (List.map to_int (to_list j))
 
   let of_int_array a = Arr (Array.to_list (Array.map (fun i -> Int i) a))
 end

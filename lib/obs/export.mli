@@ -70,6 +70,8 @@ module Json : sig
 
   val to_bool : t -> bool
 
+  val to_list : t -> t list
+
   val to_int_array : t -> int array
 
   val of_int_array : int array -> t

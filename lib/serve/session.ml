@@ -22,16 +22,9 @@ type config = {
 
 let event_bytes = Frame.event_bytes
 
-let keep_rest_of = function "token-dd" | "token-dd-par" -> true | _ -> false
-
-let known_algo = function
-  | "token-vc" | "multi-token" | "token-dd" | "token-dd-par" | "checker"
-  | "parallel" ->
-      true
-  | _ -> false
-
 type t = {
   cfg : config;
+  algo : Algo.t;
   builder : Slice.Incremental.builder;
   cur_pred : bool array;  (* worker-private backing of the keep policy *)
   member : bool array;
@@ -70,14 +63,14 @@ let fnv1a s =
     s;
   !h land max_int
 
-let create cfg =
-  if not (known_algo cfg.algo) then
-    Error
-      (Printf.sprintf
-         "unknown detection algorithm %S (want token-vc, multi-token, \
-          token-dd, token-dd-par, checker or parallel)"
-         cfg.algo)
-  else if cfg.n <= 0 then Error "n must be positive"
+let create (cfg : config) =
+  match Algo.of_string cfg.algo with
+  | None ->
+      Error
+        (Printf.sprintf "unknown detection algorithm %S (want %s)" cfg.algo
+           Algo.names)
+  | Some algo ->
+  if cfg.n <= 0 then Error "n must be positive"
   else if Array.length cfg.pred0 <> cfg.n then Error "pred0 length <> n"
   else if
     Array.length cfg.procs = 0
@@ -93,7 +86,7 @@ let create cfg =
     let member = Array.make cfg.n false in
     Array.iter (fun p -> member.(p) <- true) procs;
     let cur_pred = Array.copy cfg.pred0 in
-    let keep_rest = keep_rest_of cfg.algo in
+    let keep_rest = Algo.full_width algo in
     (* Same policy as Slice.for_spec_source: spec processes keep their
        predicate-true states, the rest keep everything iff the
        algorithm's cuts span all N processes. The builder consults
@@ -108,6 +101,7 @@ let create cfg =
     Ok
       {
         cfg;
+        algo;
         builder;
         cur_pred;
         member;
@@ -390,41 +384,18 @@ let completed t = locked t (fun () -> t.resultv <> None)
 
 (* --- detection ----------------------------------------------------- *)
 
-let dispatch ?recorder algo ~groups ~seed comp spec =
-  let options = Detection.default_options in
-  match algo with
-  | "token-vc" -> Token_vc.detect ?recorder ~options ~seed comp spec
-  | "multi-token" ->
-      Token_multi.detect ?recorder ~options
-        ~groups:(min groups (Spec.width spec))
-        ~seed comp spec
-  | "token-dd" -> Token_dd.detect ?recorder ~options ~seed comp spec
-  | "token-dd-par" ->
-      Token_dd.detect ?recorder ~options ~parallel:true ~seed comp spec
-  | "checker" -> Checker_centralized.detect ?recorder ~options ~seed comp spec
-  | "parallel" -> Checker_parallel.detect ?recorder ~options ~seed comp spec
-  | a -> failwith ("unknown algorithm " ^ a)
-
-(* Mirrors Run_common.with_source: slice phase mark, slice, re-spec,
-   detect, remap — so the served cut is byte-identical to the offline
-   [wcpdetect detect] rendering of the same trace. *)
+(* The offline [detect --stream] path with the finished incremental
+   builder as the slice, so the served cut is byte-identical to the
+   offline [wcpdetect detect] rendering of the same trace. *)
 let run_detection t ?recorder () =
-  (match recorder with
-  | None -> ()
-  | Some r ->
-      Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1)
-        (Wcp_obs.Event.Phase_marked { name = "slice" }));
-  let sl = Slice.Incremental.finish t.builder in
-  let sliced = Slice.computation sl in
-  let spec' = Spec.make sliced t.cfg.procs in
   let r =
-    dispatch ?recorder t.cfg.algo ~groups:t.cfg.groups ~seed:t.cfg.seed sliced
-      spec'
+    Run_common.on_slice ?recorder ~procs:t.cfg.procs
+      (fun () -> Slice.Incremental.finish t.builder)
+      ~run:
+        (Algo.run t.algo ?recorder ~groups:t.cfg.groups
+           ~options:Detection.default_options ~seed:t.cfg.seed)
   in
-  let outcome =
-    Detection.remap_outcome (Slice.remap_cut sl) r.Detection.outcome
-  in
-  ( Format.asprintf "%a" Detection.pp_outcome outcome,
+  ( Format.asprintf "%a" Detection.pp_outcome r.Detection.outcome,
     r.Detection.events,
     Wcp_sim.Stats.total_sent r.Detection.stats,
     Wcp_sim.Stats.total_bits r.Detection.stats,

@@ -22,7 +22,7 @@
 type config = {
   id : string;
   n : int;  (** process count *)
-  algo : string;  (** CLI algorithm key; must be a detection algorithm *)
+  algo : string;  (** detector name, see [Wcp_core.Algo.of_string] *)
   procs : int array;  (** predicate scope *)
   seed : int64;
   groups : int;
@@ -116,12 +116,13 @@ val credit_sent : t -> unit
 val completed : t -> bool
 
 val detect : t -> on_metrics:(string -> unit) option -> Protocol.server_msg
-(** Run the configured detector over the finished slice — mirroring
-    the offline [Run_common.with_source] sequence, so the served cut
-    is byte-identical to [wcpdetect detect] on the same trace — and
-    store + return the [Result] (or [Error]) line. [on_metrics]
-    receives raw wcp-metrics/1 lines during the run (capacity-1
-    recorder, bounded memory). Worker-only; call once, on {!Ready}. *)
+(** Run the configured detector over the finished slice through
+    [Run_common.on_slice], the offline [detect --stream] path, so the
+    served cut is byte-identical to [wcpdetect detect] on the same
+    trace — and store + return the [Result] (or [Error]) line.
+    [on_metrics] receives raw wcp-metrics/1 lines during the run
+    (capacity-1 recorder, bounded memory). Worker-only; call once, on
+    {!Ready}. *)
 
 val deliver : t -> unit
 (** Send the stored result through the live connection, exactly once:

@@ -55,8 +55,8 @@ let test_json_values () =
      read: parse with the generic parser and navigate by hand. *)
   let results = Lazy.force smoke_seq in
   let doc = Bench_json.emit ~profile:Bench_json.Smoke results in
-  let j = Bench_json.Json.parse doc in
-  let open Bench_json.Json in
+  let j = Wcp_obs.Export.Json.parse doc in
+  let open Wcp_obs.Export.Json in
   Alcotest.(check string) "schema" Bench_json.schema
     (to_str (member "schema" j));
   let first = List.hd (to_list (member "results" j)) in
@@ -92,7 +92,7 @@ let test_parse_errors () =
   let bad s =
     match Bench_json.parse_doc s with
     | _ -> Alcotest.failf "accepted malformed input %S" s
-    | exception Bench_json.Json.Parse_error _ -> ()
+    | exception Wcp_obs.Export.Json.Error _ -> ()
   in
   bad "";
   bad "{";

@@ -213,7 +213,10 @@ let outcome = Alcotest.testable Detection.pp_outcome Detection.outcome_equal
 (* Mirror the CLI's [--stream] plumbing: slice straight off the mmap
    cursor, detect on the slice, remap the cut to dense coordinates. *)
 let streamed_outcome reader ~procs ~detect ~keep_rest =
-  (Run_common.with_source ~keep_rest (Btrace.source reader) ~procs
+  (Run_common.on_slice ~procs
+     (fun () ->
+       Wcp_slice.Slice.for_spec_source ~keep_rest (Btrace.source reader)
+         ~procs)
      ~run:(fun sliced spec' -> detect sliced spec'))
     .Detection.outcome
 

@@ -185,6 +185,20 @@ let all_outcomes ~seed comp =
     ("parallel", (Checker_parallel.detect ~seed comp spec).Detection.outcome);
   ]
 
+(* The same six detectors selected through the registry, with the
+   registry's own projection policy ([full_width]). *)
+let registry_outcomes ~seed comp =
+  let spec = Spec.all comp in
+  List.map
+    (fun a ->
+      let got =
+        (Algo.run a ~options:Detection.default_options ~seed comp spec)
+          .Detection.outcome
+      in
+      ( "Algo.run " ^ Algo.name a,
+        if Algo.full_width a then Detection.project_outcome spec got else got ))
+    Algo.all
+
 let prop_algorithms_agree =
   Helpers.qtest ~count:60
     "vc, multi, dd, checker and parallel all match the oracle"
@@ -195,7 +209,28 @@ let prop_algorithms_agree =
           Detection.outcome_equal expected got
           || QCheck2.Test.fail_reportf "%s disagrees with the oracle: %a vs %a"
                name Detection.pp_outcome got Detection.pp_outcome expected)
-        (all_outcomes ~seed:7L comp))
+        (all_outcomes ~seed:7L comp @ registry_outcomes ~seed:7L comp))
+
+let test_algo_registry () =
+  List.iter
+    (fun a ->
+      Alcotest.(check bool)
+        (Algo.name a ^ " round-trips") true
+        (Algo.of_string (Algo.name a) = Some a))
+    Algo.all;
+  Alcotest.(check bool) "bench spelling token-multi" true
+    (Algo.of_string "token-multi" = Some Algo.Multi_token);
+  Alcotest.(check bool) "oracle is not a detector" true
+    (Algo.of_string "oracle" = None);
+  let names p = List.map Algo.name (List.filter p Algo.all) in
+  Alcotest.(check (list string)) "full_width is exactly direct dependence"
+    [ "token-dd"; "token-dd-par" ] (names Algo.full_width);
+  Alcotest.(check (list string)) "fault injection is for the token algorithms"
+    [ "token-vc"; "multi-token"; "token-dd"; "token-dd-par" ]
+    (names Algo.fault_ok);
+  Alcotest.(check string) "message list"
+    "token-vc, multi-token, token-dd, token-dd-par, checker or parallel"
+    Algo.names
 
 (* The parallel checker's determinism contract: dense or sliced, at
    any domain count, the outcome is the oracle's least cut — and the
@@ -322,6 +357,8 @@ let () =
       ( "agreement",
         [
           prop_algorithms_agree;
+          Alcotest.test_case "algo registry names and policies" `Quick
+            test_algo_registry;
           prop_parallel_checker_agrees;
           Alcotest.test_case "parallel checker: degenerate inputs" `Quick
             test_parallel_checker_degenerate;

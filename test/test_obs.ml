@@ -217,11 +217,11 @@ let validate_log tag events =
   String.split_on_char '\n' (Export.jsonl events)
   |> List.iteri (fun i line ->
          if line <> "" then
-           match Wcp_bench.Bench_json.Json.parse line with
-           | exception Wcp_bench.Bench_json.Json.Parse_error msg ->
+           match Export.Json.parse line with
+           | exception Export.Json.Error msg ->
                Alcotest.failf "%s: line %d is not JSON: %s" tag (i + 1) msg
            | j ->
-               let open Wcp_bench.Bench_json.Json in
+               let open Export.Json in
                let kind = to_str (member "type" j) in
                if not (List.mem kind Event.kinds) then
                  Alcotest.failf "%s: line %d has unknown type %s" tag (i + 1)
@@ -252,13 +252,11 @@ let validate_log tag events =
       if e.Event.proc < -1 then Alcotest.failf "%s: bad proc at %d" tag i)
     events;
   (* The Chrome export of the same log must be a JSON document. *)
-  match Wcp_bench.Bench_json.Json.parse (Export.chrome events) with
-  | exception Wcp_bench.Bench_json.Json.Parse_error msg ->
+  match Export.Json.parse (Export.chrome events) with
+  | exception Export.Json.Error msg ->
       Alcotest.failf "%s: chrome export is not JSON: %s" tag msg
   | j ->
-      ignore
-        (Wcp_bench.Bench_json.Json.to_list
-           (Wcp_bench.Bench_json.Json.member "traceEvents" j))
+      ignore (Export.Json.to_list (Export.Json.member "traceEvents" j))
 
 let corpus ~algos ~sizes ~seeds =
   List.iter

@@ -28,9 +28,11 @@ let offline_outcome comp ~algo ~procs ~seed ~groups =
   in
   let options = Detection.default_options in
   let r =
-    Run_common.with_source ~keep_rest
-      (Computation.Stream.of_computation comp)
-      ~procs
+    Run_common.on_slice ~procs
+      (fun () ->
+        Wcp_slice.Slice.for_spec_source ~keep_rest
+          (Computation.Stream.of_computation comp)
+          ~procs)
       ~run:(fun sliced spec ->
         match algo with
         | "token-vc" -> Token_vc.detect ~options ~seed sliced spec
