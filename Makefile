@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench tables bench-json perf-check bench-smoke check chaos-soak recovery-soak trace-check telemetry-check btrace-check serve-check slice-check examples clean
+.PHONY: all build test bench tables bench-json perf-check bench-smoke check chaos-soak recovery-soak trace-check telemetry-check btrace-check serve-check perfbench-check slice-check examples clean
 
 # Committed machine-readable baseline (see EXPERIMENTS.md).
 BENCH_BASELINE ?= BENCH_1.json
@@ -19,8 +19,9 @@ bench:
 tables:
 	dune exec bench/main.exe -- tables
 
-# Regenerate the JSON benchmark baseline (all E1-E8 sweeps, fanned out
-# over domains; deterministic fields are domain-count independent).
+# Regenerate the JSON benchmark baseline (every row-backed experiment:
+# E1-E9 and E15-E22, fanned out over domains; det metrics are
+# domain-count independent).
 bench-json:
 	dune exec bench/main.exe -- json --out $(BENCH_BASELINE)
 
@@ -37,9 +38,10 @@ bench-smoke:
 	dune exec bench/main.exe -- json --smoke --seq --out _build/bench-smoke.json
 	dune exec bench/main.exe -- perf-check $(BENCH_BASELINE) _build/bench-smoke.json --subset
 
-# Everything a PR should pass: build, tests, the smoke perf gate, and
-# the CLI-level store/telemetry/service gates.
-check: build test bench-smoke btrace-check telemetry-check serve-check
+# Everything a PR should pass — every CI gate: build, tests, the smoke
+# perf gate, the CLI-level trace/store/telemetry/service gates, and the
+# end-to-end benchmark's cut-correctness run.
+check: build test bench-smoke trace-check btrace-check telemetry-check serve-check perfbench-check
 
 # Full chaos matrix (drop rate x size x seed, token-vc + token-dd vs
 # the fault-free oracle). A bounded smoke of the same test always runs
@@ -177,6 +179,14 @@ serve-check:
 	grep -q stopped $$tmp/idle.err \
 	  || { echo "serve-check: idle daemon did not log stopped"; exit 1; }; \
 	echo "serve-check: idle SIGTERM OK"
+
+# End-to-end benchmark in short form (BENCHMARK.json, perfbench/): builds
+# from source and runs the offline-text, stream-btrace and serve-feed
+# workloads through all six detectors and a live daemon. Every
+# operation's cut is checked against Oracle.first_cut; a wrong cut
+# exits 1. About a minute.
+perfbench-check:
+	python3 perfbench/run.py --workload all --seconds 5
 
 # Full-corpus slicing agreement sweep: every detector, dense vs sliced
 # (--slice / Detection.options ~slice:true), across sizes x predicate

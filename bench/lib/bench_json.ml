@@ -2,6 +2,7 @@ open Wcp_trace
 open Wcp_core
 
 module Json = Wcp_obs.Export.Json
+module Stats = Wcp_sim.Stats
 
 (* ------------------------------------------------------------------ *)
 (* Jobs and metrics                                                    *)
@@ -15,139 +16,99 @@ type job = {
   p_pred : float;
   seed : int;
   param : int;
-      (* groups (multi), spec width (E5), drop % (E9), domain count
-         (E15, E18 parallel arm), delta flag 0/1 (E16), slice flag 0/1
-         (E17), restart flag 0/1 (E19), btrace-streamed flag 0/1 (E21),
-         sessions*1000 + domains*10 + mode with mode 0 binary / 1 jsonl
-         / 2 slow-client (E22), else 0 *)
+      (* groups (E3), spec width (E5), workload index (E7), drop % (E9),
+         domain count (E15, E18 parallel arm), delta flag 0/1 (E16),
+         slice flag 0/1 (E17), restart flag 0/1 (E19), telemetry flag
+         0/1 (E20), btrace-streamed flag 0/1 (E21), sessions*1000 +
+         domains*10 + mode with mode 0 binary / 1 jsonl / 2 slow-client
+         (E22), else 0 *)
 }
 
+(* [det] holds the metrics that are pure functions of the job, [wall]
+   the machine-dependent ones. Each producer below emits only the names
+   it measures. *)
 type metrics = {
   job : job;
-  outcome : string;  (* "detected" | "none"; E17 appends the cut *)
-  states : int;
-  hops : int;
-  polls : int;
-  snapshots : int;
-  merges : int;
-  work : int;
-  max_work : int;
-  messages : int;
-  bits : int;
-  events : int;
-  sim_time : float;
-  (* Fault-recovery work; zero everywhere outside E9 and E19. *)
-  retransmits : int;
-  dups_suppressed : int;
-  net_dropped : int;
-  net_duplicated : int;
-  (* Crash-recovery work (E19's restart arm, schema v7): frames
-     replayed from the transport's retained history on the
-     post-restart reconnect, and the sim time from the monitor's state
-     restore to the run's verdict. Both deterministic; zero when no
-     restore fired. *)
-  replayed : int;
-  recovery_latency : float;
-  (* Trace-derived summaries (schema v3) from a second, traced run of
-     the same job. Recording never touches the engine RNG or stats, so
-     the traced run follows the identical schedule and these are as
-     deterministic as [hops]; the timed run above stays untraced so
-     [wall_ns]/[alloc_bytes] are unaffected. Zero for the adversary. *)
-  trace_events : int;
-  eliminations : int;
-  hop_p50 : float;
-  hop_p95 : float;
-  hop_max : float;
-  elims_per_hop_p50 : float;
-  elims_per_hop_p95 : float;
-  elims_per_hop_max : float;
-  (* Slice shape (E17 sliced arm, schema v5): total states of the
-     sliced computation the detector actually examined. Deterministic;
-     zero for dense runs. *)
-  slice_states : int;
-  (* Parallel-checker round shape (E18, schema v6): barrier rounds,
-     widest frontier (slots advanced in one round) and candidate
-     comparisons. Deterministic and domain-count independent — the
-     frozen-frontier rounds compute the same thresholds whatever the
-     fan-out — so they sit with the replayable fields, not the timing
-     block. Zero for every other detector. *)
-  par_rounds : int;
-  par_frontier : int;
-  par_items : int;
-  (* Span-tree summaries (schema v8), derived from the same traced run:
-     per span-kind p50/p95 durations in sim time (token hops in flight,
-     parallel-checker rounds, crash-recovery windows, retransmit
-     bursts; see Wcp_obs.Span). Deterministic; zero for kinds the run
-     never produced, for the adversary and for E15. *)
-  span_token_p50 : float;
-  span_token_p95 : float;
-  span_round_p50 : float;
-  span_round_p95 : float;
-  span_recovery_p50 : float;
-  span_recovery_p95 : float;
-  span_retx_p50 : float;
-  span_retx_p95 : float;
-  (* Telemetry plane (schema v8): lines of the wcp-metrics/1 stream an
-     attached telemetry tap emits for this run (replayed from the
-     traced events with allocation sampling stripped). Deterministic.
-     E20's param=1 rows additionally carry the plane INSIDE the timed
-     run, so their wall_ns prices always-on telemetry. *)
-  telemetry_lines : int;
-  (* Trace-store shape (E21, schema v9): bytes of the on-disk trace the
-     job detected from (text for param=0, btrace for param=1).
-     Deterministic — both formats are byte-stable functions of the
-     generated run. Zero outside E21. *)
-  trace_bytes : int;
-  (* Machine-dependent; excluded from determinism comparisons. *)
-  decode_ns : int;
-      (* E21 load step: text decode to the dense computation (param=0)
-         or btrace open + streamed slice construction (param=1) *)
-  peak_words : int;
-      (* E21: live-heap words the load step left behind (Gc.live_words
-         delta across it) — the bounded-memory evidence: the streamed
-         arm's figure tracks the slice, not the trace length *)
-  slice_ns : int;  (* slice-construction overhead (E17 sliced arm) *)
-  (* Streaming-service throughput (E22, schema v10): aggregate ingest
-     events/second across the row's sessions and per-session
-     submit-to-result latency percentiles — all wall-derived, so
-     machine-dependent like [wall_ns]. E22 reuses [peak_words] for the
-     slow-client arm's sampled heap growth while serving. Zero outside
-     E22. *)
-  events_per_sec : float;
-  lat_p50_ns : int;
-  lat_p95_ns : int;
-  wall_ns : int;
-  alloc_bytes : int;
+  outcome : string;
+  det : (string * Json.t) list;
+  wall : (string * Json.t) list;
 }
+
+let job_key j =
+  Printf.sprintf "%s/%s n=%d m=%d p=%g seed=%d param=%d" j.experiment j.algo
+    j.n j.m j.p_pred j.seed j.param
+
+let find lane names r k =
+  match List.assoc_opt k names with
+  | Some v -> v
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Bench_json: %s has no %s metric %S" (job_key r.job)
+           lane k)
+
+let det r k = find "det" r.det r k
+let wall r k = find "wall" r.wall r k
+let det_int r k = Json.to_int (det r k)
+let det_float r k = Json.to_float (det r k)
+let wall_int r k = Json.to_int (wall r k)
+let wall_float r k = Json.to_float (wall r k)
+
+let int_m k v = (k, Json.Int v)
+let float_m k v = (k, Json.Float v)
+let ns_since t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+
+(* The timed region of a job: wall clock and allocation, after a minor
+   collection so every job starts from the same nursery state. *)
+let timed ?(extra_ns = 0) f =
+  Gc.minor ();
+  let alloc0 = Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  let wall_ns = extra_ns + ns_since t0 in
+  let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
+  (x, [ int_m "wall_ns" wall_ns; int_m "alloc_bytes" alloc_bytes ])
 
 let algo_of job =
   match Algo.of_string job.algo with
   | Some a -> a
   | None -> invalid_arg ("Bench_json: unknown algo " ^ job.algo)
 
-let spec_for job comp =
-  match job.experiment with
-  | "E4" | "E8" -> Spec.make comp [| 0; job.n / 2 |]
-  | "E5" ->
-      let rng = Wcp_util.Rng.create (Int64.of_int job.seed) in
-      Spec.make comp (Generator.random_procs rng ~n:job.n ~width:job.param)
-  | _ -> Spec.all comp
+let gen_params job =
+  {
+    Generator.n = job.n;
+    sends_per_process = job.m;
+    p_pred = job.p_pred;
+    p_recv = 0.5;
+  }
+
+(* E7 rows with [param = i > 0] detect on the i-th scenario workload;
+   [param = 0] rows detect on a random computation like every other
+   experiment. *)
+let e7_workload job =
+  if job.experiment = "E7" && job.param > 0 then
+    Some (List.nth (Workloads.all ~seed:2025L) (job.param - 1))
+  else None
+
+let comp_and_spec job =
+  match e7_workload job with
+  | Some w -> (w.Workloads.comp, Spec.make w.Workloads.comp w.Workloads.procs)
+  | None ->
+      let comp = Generator.random ~params:(gen_params job) ~seed:(Int64.of_int job.seed) () in
+      let spec =
+        match job.experiment with
+        | "E4" | "E8" -> Spec.make comp [| 0; job.n / 2 |]
+        | "E5" ->
+            let rng = Wcp_util.Rng.create (Int64.of_int job.seed) in
+            Spec.make comp
+              (Generator.random_procs rng ~n:job.n ~width:job.param)
+        | _ -> Spec.all comp
+      in
+      (comp, spec)
 
 (* One simulation run of a job, optionally traced. A fresh fault plan
    is built per run (its PRNG stream is private mutable state). *)
 let run_sim ?recorder job =
-  let comp =
-    Generator.random
-      ~params:
-        {
-          Generator.n = job.n;
-          sends_per_process = job.m;
-          p_pred = job.p_pred;
-          p_recv = 0.5;
-        }
-      ~seed:(Int64.of_int job.seed) ()
-  in
-  let spec = spec_for job comp in
+  let comp, spec = comp_and_spec job in
   let seed = Int64.of_int job.seed in
   (* E9 runs under chaos: drop rate param%, duplication at half the
      drop rate, fault stream seeded by the job seed. *)
@@ -177,19 +138,17 @@ let run_sim ?recorder job =
   (* E16 ablates the wire encoding: param=1 is the hybrid delta
      encoding (the default everywhere else), param=0 forces dense. The
      encoding changes no message counts and no RNG draws, so every
-     field except [bits] is identical across the two arms. *)
+     metric except [bits] is identical across the two arms. *)
   let delta = if job.experiment = "E16" then job.param <> 0 else true in
   (* E17 ablates computation slicing: param=1 detects on the slice
      (identical outcome, remapped cut), param=0 on the dense run. *)
   let slice = job.experiment = "E17" && job.param <> 0 in
   let options = Detection.options ~delta ~slice () in
   (* E3 sweeps the multi-token group count in [param]; elsewhere
-     [param] means something else and multi-token runs 2 groups (the
-     E3 sweet spot). *)
+     multi-token runs 2 groups (the E3 sweet spot). *)
   let groups = if job.experiment = "E3" then job.param else 2 in
   (* E18: [param] is the domain count of the parallel checker itself
-     (the detector's own fan-out, not the bench harness parallelism);
-     param=0 falls back to WCP_DOMAINS. *)
+     (the detector's own fan-out, not the bench harness parallelism). *)
   let domains =
     if job.experiment = "E18" && job.param > 0 then Some job.param else None
   in
@@ -197,141 +156,160 @@ let run_sim ?recorder job =
     Algo.run (algo_of job) ?fault ?recorder ~groups ?domains ~options ~seed
       comp spec
   in
-  (comp, r)
+  (comp, spec, r)
+
+(* The counters every detection run reports. *)
+let counters ~states (r : Detection.result) =
+  let s = r.stats in
+  [
+    int_m "states" states;
+    int_m "hops" r.extras.token_hops;
+    int_m "polls" r.extras.polls;
+    int_m "snapshots" r.extras.snapshots;
+    int_m "merges" r.extras.merges;
+    int_m "work" (Stats.total_work s);
+    int_m "max_work" (Stats.max_work s);
+    int_m "messages" (Stats.total_sent s);
+    int_m "bits" (Stats.total_bits s);
+    int_m "events" r.events;
+    float_m "sim_time" r.sim_time;
+  ]
+
+let outcome_word = function
+  | Detection.Detected _ -> "detected"
+  | Detection.No_detection -> "none"
+  | Detection.Undetectable_crashed _ -> "undetectable"
+
+let spelled = function
+  | Detection.Detected cut -> Format.asprintf "detected %a" Cut.pp cut
+  | o -> outcome_word o
+
+(* Columns of the E1-E7 tables that the counters do not carry. The
+   detecting processes are the monitors (engine ids n..2n-1) and the
+   checker (2n); see Run_common. *)
+let table_extras job comp spec (r : Detection.result) =
+  let n = Computation.n comp in
+  let detectors f = List.init (n + 1) (fun i -> f r.stats (n + i)) in
+  let mon_bits () =
+    List.fold_left ( + ) 0
+      (List.init n (fun p -> Stats.bits r.stats (Run_common.monitor_of ~n p)))
+  in
+  let max_events () =
+    int_m "max_events" (Computation.max_events_per_process comp)
+  in
+  let max_space () =
+    int_m "max_space"
+      (List.fold_left max 0 (detectors Stats.space_high_water))
+  in
+  match job.experiment with
+  | "E1" -> [ max_events () ]
+  | "E2" -> [ max_space () ]
+  | "E4" -> [ max_events (); int_m "mon_bits" (mon_bits ()); max_space () ]
+  | "E5" ->
+      (* The monitoring traffic an algorithm adds: monitor bits plus
+         the applications' snapshot bits. *)
+      let snap_bits =
+        match algo_of job with
+        | Algo.Token_vc -> r.extras.snapshots * 32 * (job.param + 1)
+        | _ ->
+            (r.extras.snapshots * 32)
+            + (2 * 32 * Snapshot.total_dd_deps comp spec)
+      in
+      [ int_m "traffic_bits" (mon_bits () + snap_bits) ]
+  | "E7" ->
+      let expected = Oracle.first_cut comp spec in
+      let got = Algo.spec_outcome (algo_of job) spec r in
+      [
+        ( "oracle",
+          Json.Str
+            (match expected with
+            | Detection.Detected _ -> "detect"
+            | Detection.No_detection -> "none"
+            | Detection.Undetectable_crashed _ -> "crash") );
+        int_m "agrees" (Bool.to_int (Detection.outcome_equal got expected));
+      ]
+  | _ -> []
 
 (* ------------------------------------------------------------------ *)
-(* E15: multicore throughput                                           *)
+(* Producers                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One E15 job = a fixed batch of [e15_sessions] independent detection
+(* E6: the §5 lower-bound game is deterministic and has no simulation
+   behind it; [work] and [max_work] count its forced deletions,
+   [events] its rounds. *)
+let run_adversary job =
+  let (answer, trace), wall =
+    timed (fun () ->
+        let world, _ = Wcp_lowerbound.Adversary.make ~n:job.n ~m:job.m in
+        Wcp_lowerbound.Detector.run world)
+  in
+  let deletions = trace.Wcp_lowerbound.Detector.deletions in
+  {
+    job;
+    outcome =
+      (match answer with
+      | Wcp_lowerbound.Detector.No_antichain -> "none"
+      | _ -> "detected");
+    det =
+      [
+        int_m "work" deletions;
+        int_m "max_work" deletions;
+        int_m "events" trace.Wcp_lowerbound.Detector.rounds;
+      ];
+    wall;
+  }
+
+(* E15: one job = a fixed batch of [e15_sessions] independent detection
    sessions (same workload shape, session seeds 1..k) pushed through
-   [Parallel.map] with [job.param] domains. All deterministic fields
-   are batch aggregates, so an E15 row is identical whatever domain
-   count produced it; [outcome] is "ok" iff the per-session summaries
-   are byte-identical to a sequential (1-domain) reference run of the
-   same batch — the {!Wcp_util.Parallel} determinism contract, asserted
-   on every bench run. Only [wall_ns] (from which sessions/sec derives)
-   may vary with the domain count. *)
+   [Parallel.map] with [job.param] domains. The counters are batch
+   totals ([max_work] the batch maximum), so an E15 row is identical
+   whatever domain count produced it; [outcome] is "ok" iff the
+   per-session results are identical to a sequential (1-domain)
+   reference run of the same batch — the {!Wcp_util.Parallel}
+   determinism contract, asserted on every bench run. *)
 let e15_sessions = 24
-
-type e15_session = {
-  s_outcome : Detection.outcome;
-  s_states : int;
-  s_hops : int;
-  s_snapshots : int;
-  s_work : int;
-  s_max_work : int;
-  s_messages : int;
-  s_bits : int;
-  s_events : int;
-  s_sim_time : float;
-}
 
 let run_e15 job =
   if job.param < 1 then
     invalid_arg "Bench_json: E15 param is the domain count (>= 1)";
   let session seed =
-    let comp, r = run_sim { job with seed; param = 0 } in
-    {
-      s_outcome = r.Detection.outcome;
-      s_states = Computation.total_states comp;
-      s_hops = r.extras.Detection.token_hops;
-      s_snapshots = r.extras.Detection.snapshots;
-      s_work = Wcp_sim.Stats.total_work r.stats;
-      s_max_work = Wcp_sim.Stats.max_work r.stats;
-      s_messages = Wcp_sim.Stats.total_sent r.stats;
-      s_bits = Wcp_sim.Stats.total_bits r.stats;
-      s_events = r.events;
-      s_sim_time = r.sim_time;
-    }
+    let comp, _, r = run_sim { job with seed; param = 0 } in
+    (r.Detection.outcome, counters ~states:(Computation.total_states comp) r)
   in
   let session_seeds = Array.init e15_sessions (fun i -> i + 1) in
-  Gc.minor ();
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let batch = Wcp_util.Parallel.map ~domains:job.param session session_seeds in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
+  let batch, wall =
+    timed (fun () ->
+        Wcp_util.Parallel.map ~domains:job.param session session_seeds)
+  in
   (* The reference run sits outside the timed window: sessions/sec is
      the parallel batch only. *)
   let reference = Wcp_util.Parallel.map ~domains:1 session session_seeds in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 batch in
-  {
-    job;
-    outcome = (if batch = reference then "ok" else "mismatch");
-    states = sum (fun s -> s.s_states);
-    hops = sum (fun s -> s.s_hops);
-    polls = 0;
-    snapshots = sum (fun s -> s.s_snapshots);
-    merges = 0;
-    work = sum (fun s -> s.s_work);
-    max_work = Array.fold_left (fun acc s -> max acc s.s_max_work) 0 batch;
-    messages = sum (fun s -> s.s_messages);
-    bits = sum (fun s -> s.s_bits);
-    events = sum (fun s -> s.s_events);
-    sim_time = Array.fold_left (fun acc s -> acc +. s.s_sim_time) 0.0 batch;
-    retransmits = 0;
-    dups_suppressed = 0;
-    net_dropped = 0;
-    net_duplicated = 0;
-    replayed = 0;
-    recovery_latency = 0.0;
-    trace_events = 0;
-    eliminations = 0;
-    hop_p50 = 0.0;
-    hop_p95 = 0.0;
-    hop_max = 0.0;
-    elims_per_hop_p50 = 0.0;
-    elims_per_hop_p95 = 0.0;
-    elims_per_hop_max = 0.0;
-    slice_states = 0;
-    par_rounds = 0;
-    par_frontier = 0;
-    par_items = 0;
-    span_token_p50 = 0.0;
-    span_token_p95 = 0.0;
-    span_round_p50 = 0.0;
-    span_round_p95 = 0.0;
-    span_recovery_p50 = 0.0;
-    span_recovery_p95 = 0.0;
-    span_retx_p50 = 0.0;
-    span_retx_p95 = 0.0;
-    telemetry_lines = 0;
-    trace_bytes = 0;
-    decode_ns = 0;
-    peak_words = 0;
-    slice_ns = 0;
-    events_per_sec = 0.0;
-    lat_p50_ns = 0;
-    lat_p95_ns = 0;
-    wall_ns;
-    alloc_bytes;
-  }
+  let add (k, a) (_, b) =
+    match (a, b) with
+    | Json.Int a, Json.Int b -> int_m k (if k = "max_work" then max a b else a + b)
+    | a, b -> float_m k (Json.to_float a +. Json.to_float b)
+  in
+  let det =
+    Array.fold_left
+      (fun acc (_, c) -> List.map2 add acc c)
+      (snd batch.(0))
+      (Array.sub batch 1 (e15_sessions - 1))
+  in
+  { job; outcome = (if batch = reference then "ok" else "mismatch"); det; wall }
 
-(* ------------------------------------------------------------------ *)
-(* E21: binary trace store, text/dense vs btrace/streamed              *)
-(* ------------------------------------------------------------------ *)
-
-(* param=0 writes the generated run as a text trace, decodes it back
-   into the dense computation and detects on that; param=1 streams the
-   identical run (same seed, same RNG draw sequence) into a btrace file
-   and detects through the zero-copy cursor — the slice is built
-   straight off the mmap, the dense computation never exists. Both arms
-   spell the detected cut out in dense coordinates, pinning the
-   streamed arm byte-identical to the dense arm. [decode_ns] times the
-   load step (text decode vs btrace open + slice construction),
+(* E21: param=0 writes the generated run as a text trace, decodes it
+   back into the dense computation and detects on that; param=1
+   streams the identical run (same seed, same RNG draw sequence) into a
+   btrace file and detects through the zero-copy cursor — the slice is
+   built straight off the mmap, the dense computation never exists.
+   Both arms spell the detected cut out in dense coordinates, pinning
+   the streamed arm byte-identical to the dense arm. [decode_ns] times
+   the load step (text decode vs btrace open + slice construction),
    [peak_words] is the live-heap delta that step left behind (the
    bounded-memory evidence: the streamed figure tracks the slice, not
    the trace length), [trace_bytes] the on-disk size. *)
 let run_e21 job =
-  let params =
-    {
-      Generator.n = job.n;
-      sends_per_process = job.m;
-      p_pred = job.p_pred;
-      p_recv = 0.5;
-    }
-  in
+  let params = gen_params job in
   let seed = Int64.of_int job.seed in
   let streamed = job.param <> 0 in
   let path =
@@ -364,91 +342,37 @@ let run_e21 job =
         end
         else (Trace_codec.read_file path, Fun.id)
       in
-      let decode_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+      let decode_ns = ns_since t0 in
       let peak_words = max 0 (live_words () - live0) in
       let spec = Spec.make comp procs in
-      let options = Detection.options () in
-      Gc.minor ();
-      let alloc0 = Gc.allocated_bytes () in
-      let t0 = Unix.gettimeofday () in
-      let r = Algo.run algo ~options ~seed comp spec in
       (* E21's wall covers the whole pipeline, load included: the load
          step IS what this experiment benchmarks, and the detect-only
          slice of the big row is small enough that scheduler jitter
          would trip the 20% gate on it alone. *)
-      let wall_ns =
-        decode_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-      in
-      let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
-      let outcome =
-        match Detection.remap_outcome remap r.Detection.outcome with
-        | Detection.Detected cut ->
-            Format.asprintf "detected %a" Cut.pp cut
-        | Detection.No_detection -> "none"
-        | Detection.Undetectable_crashed _ -> "undetectable"
+      let r, wall =
+        timed ~extra_ns:decode_ns (fun () ->
+            Algo.run algo ~options:(Detection.options ()) ~seed comp spec)
       in
       {
         job;
-        outcome;
-        (* Dense states of the recorded run, whichever arm: each of the
-           n processes has events + 1 states. *)
-        states = job.n + (job.n * 2 * job.m);
-        hops = r.extras.Detection.token_hops;
-        polls = r.extras.Detection.polls;
-        snapshots = r.extras.Detection.snapshots;
-        merges = r.extras.Detection.merges;
-        work = Wcp_sim.Stats.total_work r.stats;
-        max_work = Wcp_sim.Stats.max_work r.stats;
-        messages = Wcp_sim.Stats.total_sent r.stats;
-        bits = Wcp_sim.Stats.total_bits r.stats;
-        events = r.events;
-        sim_time = r.sim_time;
-        retransmits = 0;
-        dups_suppressed = 0;
-        net_dropped = 0;
-        net_duplicated = 0;
-        replayed = 0;
-        recovery_latency = 0.0;
-        trace_events = 0;
-        eliminations = 0;
-        hop_p50 = 0.0;
-        hop_p95 = 0.0;
-        hop_max = 0.0;
-        elims_per_hop_p50 = 0.0;
-        elims_per_hop_p95 = 0.0;
-        elims_per_hop_max = 0.0;
-        slice_states = (if streamed then Computation.total_states comp else 0);
-        par_rounds = 0;
-        par_frontier = 0;
-        par_items = 0;
-        span_token_p50 = 0.0;
-        span_token_p95 = 0.0;
-        span_round_p50 = 0.0;
-        span_round_p95 = 0.0;
-        span_recovery_p50 = 0.0;
-        span_recovery_p95 = 0.0;
-        span_retx_p50 = 0.0;
-        span_retx_p95 = 0.0;
-        telemetry_lines = 0;
-        trace_bytes;
-        decode_ns;
-        peak_words;
-        slice_ns = 0;
-        events_per_sec = 0.0;
-        lat_p50_ns = 0;
-        lat_p95_ns = 0;
-        wall_ns;
-        alloc_bytes;
+        outcome = spelled (Detection.remap_outcome remap r.Detection.outcome);
+        det =
+          (* Dense states of the recorded run, whichever arm: each of
+             the n processes has events + 1 states. *)
+          counters ~states:(job.n + (job.n * 2 * job.m)) r
+          @ (if streamed then
+               [ int_m "slice_states" (Computation.total_states comp) ]
+             else [])
+          @ [ int_m "trace_bytes" trace_bytes ];
+        wall =
+          wall @ [ int_m "decode_ns" decode_ns; int_m "peak_words" peak_words ];
       })
 
-(* ------------------------------------------------------------------ *)
-(* E22: streaming detection service over a loopback socket             *)
-(* ------------------------------------------------------------------ *)
-
-(* param = sessions*1000 + domains*10 + mode; mode 0 streams wcp-frame/1
-   binary frames, 1 the JSONL encoding, 2 the slow-client arm (binary
-   frames into a deliberately tiny ring behind a slowed worker — the
-   shed-to-disk regime, with the heap extent sampled while serving).
+(* E22: param = sessions*1000 + domains*10 + mode; mode 0 streams
+   wcp-frame/1 binary frames, 1 the JSONL encoding, 2 the slow-client
+   arm (binary frames into a deliberately tiny ring behind a slowed
+   worker — the shed-to-disk regime, with the heap extent sampled while
+   serving).
 
    One real [Wcp_serve.Server] runs in-process on a unix socket in a
    temp dir; [sessions] concurrent [Wcp_serve.Client] feeders each
@@ -457,15 +381,10 @@ let run_e21 job =
    reference ([Run_common.on_slice] through the same [Algo.run]
    [Wcp_serve.Session] uses). [outcome] spells the common served cut,
    or a "mismatch" marker; messages/bits/hops/events are summed across
-   sessions and deterministic. events_per_sec (aggregate ingest over
-   the whole serve window) and the per-session submit-to-result latency
-   percentiles are wall-derived, machine-dependent, and excluded from
-   baseline comparisons — the absolute throughput gate lives in
-   bench/main.ml's perf-check. *)
-let e22_ingest_events job =
-  (* ops per generated process: m sends + m receives *)
-  2 * job.n * job.m
-
+   sessions. events_per_sec (aggregate ingest over the whole serve
+   window) and the per-session submit-to-result latency percentiles are
+   wall-derived; the absolute throughput gate lives in bench/main.ml's
+   perf-check. *)
 let run_e22 job =
   let sessions = job.param / 1000 in
   let domains = job.param / 10 mod 100 in
@@ -476,16 +395,8 @@ let run_e22 job =
     if mode = 1 then Wcp_serve.Protocol.Jsonl else Wcp_serve.Protocol.Binary
   in
   let slow = mode = 2 in
-  let params =
-    {
-      Generator.n = job.n;
-      sends_per_process = job.m;
-      p_pred = job.p_pred;
-      p_recv = 0.5;
-    }
-  in
   let seed = Int64.of_int job.seed in
-  let comp = Generator.random ~params ~seed () in
+  let comp = Generator.random ~params:(gen_params job) ~seed () in
   let procs = Array.init job.n Fun.id in
   let offline =
     let algo = algo_of job in
@@ -570,17 +481,15 @@ let run_e22 job =
                   Wcp_serve.Client.run_session ~frames ~retry:5. ~addr
                     ~session:(Printf.sprintf "e22-%d" i)
                     ~algo:job.algo ~procs ~seed src;
-                lats.(i) <-
-                  int_of_float ((Unix.gettimeofday () -. s0) *. 1e9))
+                lats.(i) <- ns_since s0)
               ())
       in
       Array.iter Thread.join feeders;
-      let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+      let wall_ns = ns_since t0 in
       Wcp_serve.Server.stop srv;
       Thread.join sth;
       sampling := false;
       Option.iter Thread.join sampler;
-      let peak_words = if slow then max 0 (!peak - base) else 0 in
       let ok = ref 0 in
       let served = ref "" in
       let agree = ref true in
@@ -604,11 +513,8 @@ let run_e22 job =
           Printf.sprintf "mismatch (%d/%d completed, served %S, offline %S)"
             !ok sessions !served offline
       in
-      let ingested = sessions * e22_ingest_events job in
-      let events_per_sec =
-        if wall_ns > 0 then float_of_int ingested /. (float_of_int wall_ns /. 1e9)
-        else 0.0
-      in
+      (* ops per generated process: m sends + m receives *)
+      let ingested = sessions * 2 * job.n * job.m in
       let pct q =
         let s = Array.copy lats in
         Array.sort compare s;
@@ -617,53 +523,23 @@ let run_e22 job =
       {
         job;
         outcome;
-        states = job.n + (job.n * 2 * job.m);
-        hops = !hops;
-        polls = 0;
-        snapshots = 0;
-        merges = 0;
-        work = 0;
-        max_work = 0;
-        messages = !msgs;
-        bits = !bits;
-        events = !events;
-        sim_time = 0.0;
-        retransmits = 0;
-        dups_suppressed = 0;
-        net_dropped = 0;
-        net_duplicated = 0;
-        replayed = 0;
-        recovery_latency = 0.0;
-        trace_events = 0;
-        eliminations = 0;
-        hop_p50 = 0.0;
-        hop_p95 = 0.0;
-        hop_max = 0.0;
-        elims_per_hop_p50 = 0.0;
-        elims_per_hop_p95 = 0.0;
-        elims_per_hop_max = 0.0;
-        slice_states = 0;
-        par_rounds = 0;
-        par_frontier = 0;
-        par_items = 0;
-        span_token_p50 = 0.0;
-        span_token_p95 = 0.0;
-        span_round_p50 = 0.0;
-        span_round_p95 = 0.0;
-        span_recovery_p50 = 0.0;
-        span_recovery_p95 = 0.0;
-        span_retx_p50 = 0.0;
-        span_retx_p95 = 0.0;
-        telemetry_lines = 0;
-        trace_bytes = 0;
-        decode_ns = 0;
-        peak_words;
-        slice_ns = 0;
-        events_per_sec;
-        lat_p50_ns = pct 0.50;
-        lat_p95_ns = pct 0.95;
-        wall_ns;
-        alloc_bytes = 0;
+        det =
+          [
+            int_m "states" (job.n + (job.n * 2 * job.m));
+            int_m "hops" !hops;
+            int_m "messages" !msgs;
+            int_m "bits" !bits;
+            int_m "events" !events;
+          ];
+        wall =
+          [
+            int_m "wall_ns" wall_ns;
+            float_m "events_per_sec"
+              (float_of_int ingested /. (float_of_int (max 1 wall_ns) /. 1e9));
+            int_m "lat_p50_ns" (pct 0.50);
+            int_m "lat_p95_ns" (pct 0.95);
+          ]
+          @ if slow then [ int_m "peak_words" (max 0 (!peak - base)) ] else [];
       })
 
 (* One detection run with the full streaming telemetry plane attached:
@@ -680,9 +556,9 @@ let run_attached job =
   in
   let ring = Wcp_obs.Recorder.create ~capacity:1 () in
   Wcp_obs.Telemetry.attach tel ring;
-  let cr = run_sim ~recorder:ring job in
+  let run = run_sim ~recorder:ring job in
   Wcp_obs.Telemetry.close tel;
-  (cr, Buffer.contents buf)
+  (run, Buffer.contents buf)
 
 (* Structural stream equality modulo allocation samples: two in-process
    runs may legally differ in per-phase alloc_bytes (domain warm-up
@@ -706,241 +582,161 @@ let stream_deterministic a b =
   let na = norm a in
   na <> None && na = norm b
 
-let run_job job =
-  if job.experiment = "E15" then run_e15 job
-  else if job.experiment = "E21" then run_e21 job
-  else if job.experiment = "E22" then run_e22 job
-  else begin
+(* Every other experiment: one timed detection run, then a second,
+   traced run outside the timed window. Recording never touches the
+   engine RNG or stats, so the traced run follows the identical
+   schedule and the trace-derived metrics are as deterministic as
+   [hops]. *)
+let run_detection job =
   (* E20 telemetry arm (param=1): the timed run carries the always-on
      streaming plane, so wall_ns prices it against the bare param=0
      reference row. *)
   let telemetry_on = job.experiment = "E20" && job.param <> 0 in
-  let timed_stream = ref "" in
-  Gc.minor ();
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    if telemetry_on then begin
-      let cr, stream = run_attached job in
-      timed_stream := stream;
-      `Sim cr
-    end
-    else if job.experiment = "E6" then begin
-      (* E6: the §5 lower-bound game is deterministic and has no
-         simulation behind it; map its two counters into the shared
-         record shape. *)
-      let world, _ = Wcp_lowerbound.Adversary.make ~n:job.n ~m:job.m in
-      let answer, trace = Wcp_lowerbound.Detector.run world in
-      let outcome =
-        match answer with
-        | Wcp_lowerbound.Detector.No_antichain -> "none"
-        | _ -> "detected"
-      in
-      `Adversary
-        ( outcome,
-          trace.Wcp_lowerbound.Detector.deletions,
-          trace.Wcp_lowerbound.Detector.rounds )
-    end
-    else `Sim (run_sim job)
+  let ((comp, spec, r), timed_stream), wall =
+    timed (fun () ->
+        if telemetry_on then run_attached job else (run_sim job, ""))
   in
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-  let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
-  match result with
-  | `Adversary (outcome, deletions, rounds) ->
-      {
-        job;
-        outcome;
-        states = 0;
-        hops = 0;
-        polls = 0;
-        snapshots = 0;
-        merges = 0;
-        work = deletions;
-        max_work = deletions;
-        messages = 0;
-        bits = 0;
-        events = rounds;
-        sim_time = 0.0;
-        retransmits = 0;
-        dups_suppressed = 0;
-        net_dropped = 0;
-        net_duplicated = 0;
-        replayed = 0;
-        recovery_latency = 0.0;
-        trace_events = 0;
-        eliminations = 0;
-        hop_p50 = 0.0;
-        hop_p95 = 0.0;
-        hop_max = 0.0;
-        elims_per_hop_p50 = 0.0;
-        elims_per_hop_p95 = 0.0;
-        elims_per_hop_max = 0.0;
-        slice_states = 0;
-        par_rounds = 0;
-        par_frontier = 0;
-        par_items = 0;
-        span_token_p50 = 0.0;
-        span_token_p95 = 0.0;
-        span_round_p50 = 0.0;
-        span_round_p95 = 0.0;
-        span_recovery_p50 = 0.0;
-        span_recovery_p95 = 0.0;
-        span_retx_p50 = 0.0;
-        span_retx_p95 = 0.0;
-        telemetry_lines = 0;
-        trace_bytes = 0;
-        decode_ns = 0;
-        peak_words = 0;
-        slice_ns = 0;
-        events_per_sec = 0.0;
-        lat_p50_ns = 0;
-        lat_p95_ns = 0;
-        wall_ns;
-        alloc_bytes;
-      }
-  | `Sim (comp, r) ->
-      (* Second, traced run outside the timed window: same seed, same
-         schedule (recording is invisible to the engine), feeding the
-         histogram summaries. *)
-      let recorder = Wcp_obs.Recorder.create () in
-      let _ = run_sim ~recorder job in
-      let events = Wcp_obs.Recorder.events recorder in
-      let _, s = Wcp_obs.Metrics.of_events events in
-      let q h p = Wcp_obs.Metrics.quantile h p in
-      (* Span-tree and telemetry summaries (schema v8), also from the
-         traced run; the telemetry replay strips allocation sampling so
-         the line count is a pure function of the events. *)
-      let spans = Wcp_obs.Span.of_events events in
-      let spq kind p =
-        Wcp_obs.Span.percentile (Wcp_obs.Span.durations kind spans) p
+  let recorder = Wcp_obs.Recorder.create () in
+  let _ = run_sim ~recorder job in
+  let events = Wcp_obs.Recorder.events recorder in
+  let _, s = Wcp_obs.Metrics.of_events events in
+  let q h p = Wcp_obs.Metrics.quantile h p in
+  let spans = Wcp_obs.Span.of_events events in
+  let spq kind p =
+    Wcp_obs.Span.percentile (Wcp_obs.Span.durations kind spans) p
+  in
+  (* The telemetry replay strips allocation sampling, so the line count
+     is a pure function of the events. *)
+  let telemetry_lines =
+    let tel =
+      Wcp_obs.Telemetry.create ~alloc:(fun () -> 0.) ~sink:(fun (_ : string) -> ()) ()
+    in
+    Array.iter (fun e -> Wcp_obs.Telemetry.feed tel e) events;
+    Wcp_obs.Telemetry.close tel;
+    Wcp_obs.Telemetry.lines tel
+  in
+  (* E20 determinism contract: a second attached run reproduces the
+     timed run's stream (alloc samples aside). A mismatch poisons
+     [outcome] so the baseline comparison fails loudly. *)
+  let telemetry_ok =
+    (not telemetry_on)
+    ||
+    let _, stream2 = run_attached job in
+    stream_deterministic timed_stream stream2
+  in
+  (* E17 sliced arm: rebuild the slice outside the timed window to
+     report its shape and isolated construction cost (the timed run
+     above already paid construction inside [detect], so wall_ns
+     compares end-to-end dense vs sliced). *)
+  let sliced = job.experiment = "E17" && job.param <> 0 in
+  let slice_det, slice_wall =
+    if sliced then begin
+      let t0 = Unix.gettimeofday () in
+      let sl =
+        Wcp_slice.Slice.for_spec ~keep_rest:(Algo.full_width (algo_of job))
+          comp ~procs:(Spec.procs spec)
       in
-      let telemetry_lines =
-        let tel =
-          Wcp_obs.Telemetry.create
-            ~alloc:(fun () -> 0.)
-            ~sink:(fun (_ : string) -> ())
-            ()
-        in
-        Array.iter (fun e -> Wcp_obs.Telemetry.feed tel e) events;
-        Wcp_obs.Telemetry.close tel;
-        Wcp_obs.Telemetry.lines tel
+      let ns = ns_since t0 in
+      ( [
+          int_m "slice_states"
+            (Computation.total_states (Wcp_slice.Slice.computation sl));
+        ],
+        [ int_m "slice_ns" ns ] )
+    end
+    else ([], [])
+  in
+  (* E19: recovery latency is the simulation time from the restarted
+     monitor's state restore (the Restored trace event) to the end of
+     the run — how long the healed protocol needed to reach its verdict
+     after the crash; 0 when no restore fired. *)
+  let recovery =
+    if job.experiment <> "E19" then []
+    else
+      let restore_t =
+        Array.fold_left
+          (fun acc (e : Wcp_obs.Event.t) ->
+            match e.body with
+            | Wcp_obs.Event.Restored _ -> Float.max acc e.time
+            | _ -> acc)
+          Float.neg_infinity events
       in
-      (* E20 determinism contract: a second attached run reproduces the
-         timed run's stream (alloc samples aside). A mismatch poisons
-         [outcome] so the baseline comparison fails loudly. *)
-      let telemetry_ok =
-        (not telemetry_on)
-        ||
-        let _, stream2 = run_attached job in
-        stream_deterministic !timed_stream stream2
-      in
-      (* E17 sliced arm: rebuild the slice outside the timed window to
-         report its shape and isolated construction cost (the timed run
-         above already paid construction inside [detect], so wall_ns
-         compares end-to-end dense vs sliced). *)
-      let slice_states, slice_ns =
-        if job.experiment = "E17" && job.param <> 0 then begin
-          let spec = spec_for job comp in
-          let t0 = Unix.gettimeofday () in
-          let sl =
-            Wcp_slice.Slice.for_spec
-              ~keep_rest:(Algo.full_width (algo_of job))
-              comp
-              ~procs:(Spec.procs spec)
-          in
-          let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-          (Computation.total_states (Wcp_slice.Slice.computation sl), ns)
-        end
-        else (0, 0)
-      in
-      (* E19 restart arm: recovery latency is the simulation time from
-         the restarted monitor's state restore (the Restored trace
-         event) to the end of the run — how long the healed protocol
-         needed to reach its verdict after the crash. *)
-      let recovery_latency =
-        let restore_t =
-          Array.fold_left
-            (fun acc (e : Wcp_obs.Event.t) ->
-              match e.body with
-              | Wcp_obs.Event.Restored _ -> Float.max acc e.time
-              | _ -> acc)
-            Float.neg_infinity
-            (Wcp_obs.Recorder.events recorder)
-        in
-        if restore_t = Float.neg_infinity then 0.0
-        else r.sim_time -. restore_t
-      in
-      {
-        job;
-        outcome =
-          (if not telemetry_ok then "telemetry-mismatch"
-           else
-             match r.Detection.outcome with
-             | Detection.Detected cut ->
-                 (* E17, E18, E19 and E20 spell the cut out (in dense
-                    coordinates): E17 pins the sliced arm to the dense
-                    arm's exact cut, E18 pins every domain count to the
-                    centralized checker's cut, E19 pins the
-                    crash-recovery arm to the fault-free reference's
-                    cut, and E20 pins the telemetry-attached arm to the
-                    bare reference's cut — not just to "detected". *)
-                 if
-                   job.experiment = "E17" || job.experiment = "E18"
-                   || job.experiment = "E19" || job.experiment = "E20"
-                 then Format.asprintf "detected %a" Cut.pp cut
-                 else "detected"
-             | Detection.No_detection -> "none"
-             | Detection.Undetectable_crashed _ -> "undetectable");
-        states = Computation.total_states comp;
-        hops = r.extras.Detection.token_hops;
-        polls = r.extras.Detection.polls;
-        snapshots = r.extras.Detection.snapshots;
-        merges = r.extras.Detection.merges;
-        work = Wcp_sim.Stats.total_work r.stats;
-        max_work = Wcp_sim.Stats.max_work r.stats;
-        messages = Wcp_sim.Stats.total_sent r.stats;
-        bits = Wcp_sim.Stats.total_bits r.stats;
-        events = r.events;
-        sim_time = r.sim_time;
-        retransmits = Wcp_sim.Stats.total_retransmits r.stats;
-        dups_suppressed = Wcp_sim.Stats.total_dups_suppressed r.stats;
-        net_dropped = Wcp_sim.Stats.net_dropped r.stats;
-        net_duplicated = Wcp_sim.Stats.net_duplicated r.stats;
-        replayed = Wcp_sim.Stats.replayed r.stats;
-        recovery_latency;
-        trace_events = Wcp_obs.Recorder.emitted recorder;
-        eliminations = Wcp_obs.Metrics.count s.Wcp_obs.Metrics.eliminations;
-        hop_p50 = q s.Wcp_obs.Metrics.hop_latency 0.5;
-        hop_p95 = q s.Wcp_obs.Metrics.hop_latency 0.95;
-        hop_max = Wcp_obs.Metrics.hist_max s.Wcp_obs.Metrics.hop_latency;
-        elims_per_hop_p50 = q s.Wcp_obs.Metrics.elims_per_hop 0.5;
-        elims_per_hop_p95 = q s.Wcp_obs.Metrics.elims_per_hop 0.95;
-        elims_per_hop_max =
-          Wcp_obs.Metrics.hist_max s.Wcp_obs.Metrics.elims_per_hop;
-        slice_states;
-        par_rounds = Wcp_sim.Stats.par_rounds r.stats;
-        par_frontier = Wcp_sim.Stats.par_max_frontier r.stats;
-        par_items = Wcp_sim.Stats.par_items r.stats;
-        span_token_p50 = spq Wcp_obs.Span.Token 0.5;
-        span_token_p95 = spq Wcp_obs.Span.Token 0.95;
-        span_round_p50 = spq Wcp_obs.Span.Round 0.5;
-        span_round_p95 = spq Wcp_obs.Span.Round 0.95;
-        span_recovery_p50 = spq Wcp_obs.Span.Recovery 0.5;
-        span_recovery_p95 = spq Wcp_obs.Span.Recovery 0.95;
-        span_retx_p50 = spq Wcp_obs.Span.Retx_burst 0.5;
-        span_retx_p95 = spq Wcp_obs.Span.Retx_burst 0.95;
-        telemetry_lines;
-        trace_bytes = 0;
-        decode_ns = 0;
-        peak_words = 0;
-        slice_ns;
-        events_per_sec = 0.0;
-        lat_p50_ns = 0;
-        lat_p95_ns = 0;
-        wall_ns;
-        alloc_bytes;
-      }
-  end
+      [
+        float_m "recovery_latency"
+          (if restore_t = Float.neg_infinity then 0.0
+           else r.sim_time -. restore_t);
+      ]
+  in
+  (* Parallel-checker round shape: deterministic and domain-count
+     independent — the frozen-frontier rounds compute the same
+     thresholds whatever the fan-out. *)
+  let rounds =
+    if algo_of job <> Algo.Parallel then []
+    else
+      [
+        int_m "par_rounds" (Stats.par_rounds r.stats);
+        int_m "par_frontier" (Stats.par_max_frontier r.stats);
+        int_m "par_items" (Stats.par_items r.stats);
+      ]
+  in
+  {
+    job;
+    outcome =
+      (if not telemetry_ok then "telemetry-mismatch"
+       else
+         (* E17-E20 spell the cut out (in dense coordinates): E17 pins
+            the sliced arm to the dense arm's exact cut, E18 every
+            domain count to the centralized checker's cut, E19 the
+            crash-recovery arm to the fault-free reference's cut, and
+            E20 the telemetry-attached arm to the bare reference's. *)
+         match job.experiment with
+         | "E17" | "E18" | "E19" | "E20" -> spelled r.Detection.outcome
+         | _ -> outcome_word r.Detection.outcome);
+    det =
+      counters ~states:(Computation.total_states comp) r
+      @ [
+          int_m "retransmits" (Stats.total_retransmits r.stats);
+          int_m "dups_suppressed" (Stats.total_dups_suppressed r.stats);
+          int_m "net_dropped" (Stats.net_dropped r.stats);
+          int_m "net_duplicated" (Stats.net_duplicated r.stats);
+          int_m "replayed" (Stats.replayed r.stats);
+        ]
+      @ recovery
+      @ [
+          int_m "trace_events" (Wcp_obs.Recorder.emitted recorder);
+          int_m "eliminations"
+            (Wcp_obs.Metrics.count s.Wcp_obs.Metrics.eliminations);
+          float_m "hop_p50" (q s.Wcp_obs.Metrics.hop_latency 0.5);
+          float_m "hop_p95" (q s.Wcp_obs.Metrics.hop_latency 0.95);
+          float_m "hop_max"
+            (Wcp_obs.Metrics.hist_max s.Wcp_obs.Metrics.hop_latency);
+          float_m "elims_per_hop_p50" (q s.Wcp_obs.Metrics.elims_per_hop 0.5);
+          float_m "elims_per_hop_p95" (q s.Wcp_obs.Metrics.elims_per_hop 0.95);
+          float_m "elims_per_hop_max"
+            (Wcp_obs.Metrics.hist_max s.Wcp_obs.Metrics.elims_per_hop);
+        ]
+      @ slice_det @ rounds
+      @ [
+          float_m "span_token_p50" (spq Wcp_obs.Span.Token 0.5);
+          float_m "span_token_p95" (spq Wcp_obs.Span.Token 0.95);
+          float_m "span_round_p50" (spq Wcp_obs.Span.Round 0.5);
+          float_m "span_round_p95" (spq Wcp_obs.Span.Round 0.95);
+          float_m "span_recovery_p50" (spq Wcp_obs.Span.Recovery 0.5);
+          float_m "span_recovery_p95" (spq Wcp_obs.Span.Recovery 0.95);
+          float_m "span_retx_p50" (spq Wcp_obs.Span.Retx_burst 0.5);
+          float_m "span_retx_p95" (spq Wcp_obs.Span.Retx_burst 0.95);
+          int_m "telemetry_lines" telemetry_lines;
+        ]
+      @ table_extras job comp spec r;
+    wall = wall @ slice_wall;
+  }
+
+let run_job job =
+  match job.experiment with
+  | "E6" -> run_adversary job
+  | "E15" -> run_e15 job
+  | "E21" -> run_e21 job
+  | "E22" -> run_e22 job
+  | _ -> run_detection job
 
 (* ------------------------------------------------------------------ *)
 (* Sweep profiles                                                      *)
@@ -960,68 +756,81 @@ let job ?(p_pred = 0.3) ?(param = 0) experiment algo ~n ~m ~seed () =
 
 let seeds = [ 1; 2; 3 ]
 
+let e7_algos = [ "checker"; "token-vc"; "token-multi"; "token-dd"; "token-dd-par" ]
+
+(* E7: scenario workload [i] (1-based index into [Workloads.all], its
+   own process count and spec) detected with seed 11. *)
+let e7_workload_job algo i =
+  job "E7" algo ~n:0 ~m:0 ~p_pred:0.0 ~param:i ~seed:11 ()
+
 let jobs = function
   | Smoke ->
       (* Every smoke job is ALSO a Full job (same key, same workload),
          so a smoke run can be perf-checked against the committed full
          baseline in subset mode — the `make bench-smoke` gate. *)
+      let arms experiment ?p_pred algos =
+        List.concat_map
+          (fun algo ->
+            List.map
+              (fun param -> job experiment algo ~n:8 ~m:20 ?p_pred ~param ~seed:1 ())
+              [ 0; 1 ])
+          algos
+      in
       [
         job "E1" "token-vc" ~n:8 ~m:20 ~seed:1 ();
         job "E1" "token-vc" ~n:8 ~m:20 ~seed:2 ();
         job "E2" "checker" ~n:8 ~m:16 ~seed:1 ();
+        job "E2" "token-vc" ~n:8 ~m:16 ~seed:1 ();
         job "E3" "token-multi" ~n:24 ~m:16 ~p_pred:0.25 ~param:2 ~seed:1 ();
         job "E4" "token-dd" ~n:8 ~m:12 ~p_pred:0.05 ~seed:1 ();
-        job "E8" "token-dd-par" ~n:8 ~m:10 ~p_pred:0.05 ~seed:1 ();
-        job "E9" "token-vc" ~n:8 ~m:10 ~param:20 ~seed:1 ();
-        job "E9" "token-dd" ~n:8 ~m:10 ~param:20 ~seed:1 ();
-        job "E15" "token-vc" ~n:8 ~m:12 ~param:2 ~seed:0 ();
-        job "E16" "token-vc" ~n:8 ~m:20 ~param:0 ~seed:1 ();
-        job "E16" "token-vc" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E17" "token-vc" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
-        job "E17" "token-vc" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
-        job "E17" "token-dd" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
-        job "E17" "token-dd" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
-        job "E17" "token-multi" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
-        job "E17" "token-multi" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
-        job "E17" "checker" ~n:8 ~m:20 ~p_pred:0.02 ~param:0 ~seed:1 ();
-        job "E17" "checker" ~n:8 ~m:20 ~p_pred:0.02 ~param:1 ~seed:1 ();
-        job "E18" "checker" ~n:8 ~m:20 ~seed:1 ();
-        job "E18" "parallel" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E18" "parallel" ~n:8 ~m:20 ~param:4 ~seed:1 ();
-        job "E19" "token-vc" ~n:8 ~m:20 ~param:0 ~seed:1 ();
-        job "E19" "token-vc" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E19" "token-dd" ~n:8 ~m:20 ~param:0 ~seed:1 ();
-        job "E19" "token-dd" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E19" "token-multi" ~n:8 ~m:20 ~param:0 ~seed:1 ();
-        job "E19" "token-multi" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E20" "token-vc" ~n:8 ~m:20 ~param:0 ~seed:1 ();
-        job "E20" "token-vc" ~n:8 ~m:20 ~param:1 ~seed:1 ();
-        job "E21" "token-vc" ~n:8 ~m:20 ~p_pred:0.3 ~param:0 ~seed:1 ();
-        job "E21" "token-vc" ~n:8 ~m:20 ~p_pred:0.3 ~param:1 ~seed:1 ();
-        job "E21" "token-dd" ~n:8 ~m:20 ~p_pred:0.3 ~param:0 ~seed:1 ();
-        job "E21" "token-dd" ~n:8 ~m:20 ~p_pred:0.3 ~param:1 ~seed:1 ();
-        job "E21" "checker" ~n:8 ~m:20 ~p_pred:0.3 ~param:0 ~seed:1 ();
-        job "E21" "checker" ~n:8 ~m:20 ~p_pred:0.3 ~param:1 ~seed:1 ();
-        job "E22" "token-vc" ~n:8 ~m:20 ~p_pred:0.3 ~param:2010 ~seed:1 ();
-        job "E22" "token-dd" ~n:8 ~m:20 ~p_pred:0.3 ~param:2010 ~seed:1 ();
-        job "E22" "checker" ~n:8 ~m:20 ~p_pred:0.3 ~param:2010 ~seed:1 ();
-        job "E22" "token-vc" ~n:8 ~m:20 ~p_pred:0.3 ~param:2011 ~seed:1 ();
+        job "E5" "token-vc" ~n:64 ~m:8 ~param:2 ~seed:1 ();
+        job "E5" "token-dd" ~n:64 ~m:8 ~param:2 ~seed:1 ();
+        job "E6" "adversary" ~n:8 ~m:16 ~p_pred:0.0 ~seed:0 ();
       ]
+      @ List.map (fun algo -> e7_workload_job algo 1) e7_algos
+      @ List.map (fun algo -> job "E7" algo ~n:6 ~m:10 ~seed:9 ()) e7_algos
+      @ [
+          job "E8" "token-dd" ~n:8 ~m:10 ~p_pred:0.05 ~seed:1 ();
+          job "E8" "token-dd-par" ~n:8 ~m:10 ~p_pred:0.05 ~seed:1 ();
+          job "E9" "token-vc" ~n:8 ~m:10 ~param:20 ~seed:1 ();
+          job "E9" "token-dd" ~n:8 ~m:10 ~param:20 ~seed:1 ();
+          job "E15" "token-vc" ~n:8 ~m:12 ~param:2 ~seed:0 ();
+        ]
+      @ arms "E16" [ "token-vc" ]
+      @ arms "E17" ~p_pred:0.02 [ "token-vc"; "token-dd"; "token-multi"; "checker" ]
+      @ [
+          job "E18" "checker" ~n:8 ~m:20 ~seed:1 ();
+          job "E18" "parallel" ~n:8 ~m:20 ~param:1 ~seed:1 ();
+          job "E18" "parallel" ~n:8 ~m:20 ~param:4 ~seed:1 ();
+        ]
+      @ arms "E19" [ "token-vc"; "token-dd"; "token-multi" ]
+      @ arms "E20" [ "token-vc" ]
+      @ arms "E21" [ "token-vc"; "token-dd"; "checker" ]
+      @ [
+          job "E22" "token-vc" ~n:8 ~m:20 ~param:2010 ~seed:1 ();
+          job "E22" "token-dd" ~n:8 ~m:20 ~param:2010 ~seed:1 ();
+          job "E22" "checker" ~n:8 ~m:20 ~param:2010 ~seed:1 ();
+          job "E22" "token-vc" ~n:8 ~m:20 ~param:2011 ~seed:1 ();
+        ]
   | Full ->
       let sweep f xs = List.concat_map f xs in
       let per_seed f = List.map f seeds in
       sweep
         (fun n -> per_seed (fun seed -> job "E1" "token-vc" ~n ~m:20 ~seed ()))
         [ 2; 4; 8; 16; 24; 32 ]
+      (* E2: the centralized checker and token-vc on the same runs. *)
       @ sweep
-          (fun n -> per_seed (fun seed -> job "E2" "checker" ~n ~m:16 ~seed ()))
+          (fun n ->
+            sweep
+              (fun algo -> per_seed (fun seed -> job "E2" algo ~n ~m:16 ~seed ()))
+              [ "checker"; "token-vc" ])
           [ 2; 4; 8; 16; 24; 32 ]
       @ sweep
           (fun groups ->
             per_seed (fun seed ->
                 job "E3" "token-multi" ~n:24 ~m:16 ~p_pred:0.25 ~param:groups
                   ~seed ()))
-          [ 1; 2; 4; 8 ]
+          [ 1; 2; 3; 4; 6; 8; 12 ]
       @ sweep
           (fun n ->
             per_seed (fun seed ->
@@ -1034,15 +843,19 @@ let jobs = function
                 per_seed (fun seed ->
                     job "E5" algo ~n:64 ~m:8 ~param:width ~seed ()))
               [ "token-vc"; "token-dd" ])
-          [ 2; 8; 32; 64 ]
+          [ 2; 4; 8; 16; 32; 48; 64 ]
       @ List.map
           (fun (n, m) -> job "E6" "adversary" ~n ~m ~p_pred:0.0 ~seed:0 ())
-          [ (8, 16); (16, 16); (32, 32) ]
+          [ (2, 16); (4, 16); (8, 16); (16, 16); (16, 64); (32, 32); (64, 16) ]
+      (* E7: every detector on each scenario workload, then on random
+         runs at three predicate densities. *)
+      @ sweep
+          (fun i -> List.map (fun algo -> e7_workload_job algo i) e7_algos)
+          (List.init (List.length (Workloads.all ~seed:2025L)) succ)
       @ sweep
           (fun p_pred ->
-            List.map
-              (fun algo -> job "E7" algo ~n:6 ~m:10 ~p_pred ~seed:9 ())
-              [ "checker"; "token-vc"; "token-dd"; "token-dd-par" ])
+            List.map (fun algo -> job "E7" algo ~n:6 ~m:10 ~p_pred ~seed:9 ())
+              e7_algos)
           [ 0.0; 0.3; 1.0 ]
       @ sweep
           (fun n ->
@@ -1051,7 +864,7 @@ let jobs = function
                 per_seed (fun seed ->
                     job "E8" algo ~n ~m:10 ~p_pred:0.05 ~seed ()))
               [ "token-dd"; "token-dd-par" ])
-          [ 4; 8; 16; 32 ]
+          [ 4; 8; 16; 32; 64 ]
       @ sweep
           (fun drop_pct ->
             sweep
@@ -1061,9 +874,9 @@ let jobs = function
               [ "token-vc"; "token-dd" ])
           [ 10; 20; 30 ]
       (* E15: throughput of a fixed 24-session batch across domain
-         counts. All deterministic fields are domain-count independent
-         (and outcome="ok" asserts byte-identity against a sequential
-         reference); only wall_ns varies. *)
+         counts. Every det metric is domain-count independent (and
+         outcome="ok" asserts identity against a sequential reference);
+         only wall_ns varies. *)
       @ List.map
           (fun d -> job "E15" "token-vc" ~n:8 ~m:12 ~param:d ~seed:0 ())
           [ 1; 2; 4; 8 ]
@@ -1088,8 +901,7 @@ let jobs = function
          for). Equal-seed pairs differ only in param: 1 detects on the
          slice (events/snapshots/work drop), 0 on the dense run; both
          arms report identical outcomes with byte-identical cuts (the
-         sliced cut remapped to dense coordinates), asserted by the E17
-         table in bench/main.ml and test/test_slice.ml. *)
+         sliced cut remapped to dense coordinates). *)
       @ sweep
           (fun n ->
             sweep
@@ -1122,9 +934,7 @@ let jobs = function
          domain counts 1/2/4/8 (param = its own fan-out). Every row of
          a given n spells out the same cut — the determinism contract
          across domain counts AND against the centralized checker —
-         and only wall_ns may vary with param. The parallel rows'
-         par_rounds/par_frontier/par_items are identical across domain
-         counts by construction. *)
+         and only wall_ns may vary with param. *)
       @ sweep
           (fun n ->
             job "E18" "checker" ~n ~m:20 ~seed:1 ()
@@ -1137,9 +947,7 @@ let jobs = function
          monitor of process 0 crashes at t=2 and is restored from its
          last checkpoint at t=10 (ckpt_every = 1). Both arms spell the
          cut out in [outcome], so the baseline pins the recovered run's
-         first cut byte-identical to the fault-free reference; the
-         restart arm additionally reports replayed frames and the
-         restore-to-verdict recovery latency. *)
+         first cut byte-identical to the fault-free reference. *)
       @ sweep
           (fun n ->
             sweep
@@ -1153,11 +961,10 @@ let jobs = function
       (* E20: always-on telemetry. Per n, a bare reference row (param
          0, the E1 workload) and a telemetry-attached row (param 1)
          whose timed run streams wcp-metrics/1 through a capacity-1
-         ring tap. Both arms spell the cut out, every deterministic
-         field is identical between them (the plane is invisible to
-         the engine), and the attached arm additionally asserts that a
-         second attached run reproduces the stream. Only wall_ns may
-         differ — the overhead E20's table reports. *)
+         ring tap. Both arms spell the cut out, every det metric is
+         identical between them (the plane is invisible to the engine),
+         and the attached arm additionally asserts that a second
+         attached run reproduces the stream. *)
       @ sweep
           (fun n ->
             List.map
@@ -1165,143 +972,83 @@ let jobs = function
                 job "E20" "token-vc" ~n ~m:20 ~param:telemetry ~seed:1 ())
               [ 0; 1 ])
           [ 8; 16; 32 ]
-      (* E21: binary trace store. Small rows run every algo family on
-         both arms (param 0 = text/dense, param 1 = btrace/streamed)
-         across three seeds; the spelled-out cut pins the streamed
-         replay byte-identical to the dense reference. One big
-         streamed-only row detects over a >= 10^7-event btrace
+      (* E21: binary trace store. Per algo family, both arms (param 0 =
+         text/dense, param 1 = btrace/streamed) on the E1 workload over
+         three seeds and at two larger sizes; the spelled-out cut pins
+         the streamed replay byte-identical to the dense reference. One
+         big streamed-only row detects over a >= 10^7-event btrace
          (2 * 16 * 320000 = 10.24M events): its decode_ns/peak_words
-         columns are the bounded-memory evidence — the dense arm at
-         that scale would hold every vector clock in memory. *)
+         are the bounded-memory evidence — the dense arm at that scale
+         would hold every vector clock in memory. *)
       @ sweep
           (fun algo ->
             sweep
               (fun streamed ->
                 per_seed (fun seed ->
-                    job "E21" algo ~n:8 ~m:20 ~p_pred:0.3 ~param:streamed
-                      ~seed ()))
-              [ 0; 1 ])
+                    job "E21" algo ~n:8 ~m:20 ~param:streamed ~seed ()))
+              [ 0; 1 ]
+            @ sweep
+                (fun (n, m) ->
+                  List.map
+                    (fun streamed -> job "E21" algo ~n ~m ~param:streamed ~seed:1 ())
+                    [ 0; 1 ])
+                [ (8, 2000); (16, 8000) ])
           [ "token-vc"; "token-dd"; "checker" ]
       @ [ job "E21" "token-vc" ~n:16 ~m:320000 ~p_pred:0.001 ~param:1 ~seed:1 () ]
       (* E22: streaming detection service (param = sessions*1000 +
          domains*10 + mode). Cut rows per algo family pin the served
          result byte-identical to the offline streamed reference at two
          session/domain shapes (plus one JSONL-framing row); all their
-         deterministic fields are shape-independent. The throughput
-         gate row (8 sessions x 4 domains, n=32) is where perf-check's
-         absolute events/sec floor applies, and the slow-client row
-         (512-event ring behind a deliberately slowed worker) is where
-         the sampled peak_words heap cap applies — the shed-to-disk
-         evidence. *)
+         det metrics are shape-independent. The throughput gate row
+         (8 sessions x 4 domains, n=32) is where perf-check's absolute
+         events/sec floor applies, and the slow-client row (512-event
+         ring behind a deliberately slowed worker) is where the sampled
+         peak_words heap cap applies — the shed-to-disk evidence. *)
       @ sweep
           (fun algo ->
             List.map
-              (fun param ->
-                job "E22" algo ~n:8 ~m:20 ~p_pred:0.3 ~param ~seed:1 ())
+              (fun param -> job "E22" algo ~n:8 ~m:20 ~param ~seed:1 ())
               [ 2010; 4020 ])
           [ "token-vc"; "token-dd"; "checker" ]
       @ [
-          job "E22" "token-vc" ~n:8 ~m:20 ~p_pred:0.3 ~param:2011 ~seed:1 ();
+          job "E22" "token-vc" ~n:8 ~m:20 ~param:2011 ~seed:1 ();
           job "E22" "token-vc" ~n:32 ~m:2500 ~p_pred:0.002 ~param:8040 ~seed:1 ();
           job "E22" "token-vc" ~n:8 ~m:20000 ~p_pred:0.01 ~param:1012 ~seed:1 ();
         ]
 
 let run ?domains profile =
-  let js = Array.of_list (jobs profile) in
-  Wcp_util.Parallel.map ?domains run_job js
+  Wcp_util.Parallel.map ?domains run_job (Array.of_list (jobs profile))
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* v4: E15 (multicore throughput) and E16 (delta vs dense wire bits)
-   added; interval gating + hybrid delta encoding on by default, so
-   every message/bits/snapshot figure moved vs v3.
-   v5: E17 (computation slicing, dense vs sliced) and the
-   slice_states/slice_ns fields added; dd snapshots/polls now priced
-   packed by default (Wire.encode_dd / Wire.poll_bits), so dd-family
-   bits figures moved vs v4.
-   v6: E18 (domain-parallel checker crossover) and the
-   par_rounds/par_frontier/par_items fields added; no existing field
-   moved.
-   v7: E19 (crash-recovery: mid-protocol monitor restart vs fault-free
-   reference) and the replayed/recovery_latency fields added; no
-   existing field moved.
-   v8: E20 (always-on telemetry overhead, attached vs bare), the
-   per-span-kind duration percentiles (span_*_p50/p95) and
-   telemetry_lines added; traced runs now carry phase marks, so
-   trace_events grew by the mark count vs v7 — no other field moved.
-   v9: E21 (binary trace store: text/dense vs btrace/streamed replay)
-   and the trace_bytes/decode_ns/peak_words fields added; no existing
-   field moved.
-   v10: E22 (streaming detection service: sessions over a loopback
-   socket vs the offline streamed reference) and the
-   events_per_sec/lat_p50_ns/lat_p95_ns fields added; no existing
-   field moved. *)
-let schema = "wcp-bench/10"
+(* Bump on any change to the row shape or to what a det metric
+   measures: parse_doc refuses a baseline of another schema, so a stale
+   baseline fails loudly instead of drifting. *)
+let schema = "wcp-bench/11"
 
 let metrics_to_json r =
+  let j = r.job in
   Json.Obj
     [
-      ("experiment", Json.Str r.job.experiment);
-      ("algo", Json.Str r.job.algo);
-      ("n", Json.Int r.job.n);
-      ("m", Json.Int r.job.m);
-      ("p_pred", Json.Float r.job.p_pred);
-      ("seed", Json.Int r.job.seed);
-      ("param", Json.Int r.job.param);
+      ("experiment", Json.Str j.experiment);
+      ("algo", Json.Str j.algo);
+      ("n", Json.Int j.n);
+      ("m", Json.Int j.m);
+      ("p_pred", Json.Float j.p_pred);
+      ("seed", Json.Int j.seed);
+      ("param", Json.Int j.param);
       ("outcome", Json.Str r.outcome);
-      ("states", Json.Int r.states);
-      ("hops", Json.Int r.hops);
-      ("polls", Json.Int r.polls);
-      ("snapshots", Json.Int r.snapshots);
-      ("merges", Json.Int r.merges);
-      ("work", Json.Int r.work);
-      ("max_work", Json.Int r.max_work);
-      ("messages", Json.Int r.messages);
-      ("bits", Json.Int r.bits);
-      ("events", Json.Int r.events);
-      ("sim_time", Json.Float r.sim_time);
-      ("retransmits", Json.Int r.retransmits);
-      ("dups_suppressed", Json.Int r.dups_suppressed);
-      ("net_dropped", Json.Int r.net_dropped);
-      ("net_duplicated", Json.Int r.net_duplicated);
-      ("replayed", Json.Int r.replayed);
-      ("recovery_latency", Json.Float r.recovery_latency);
-      ("trace_events", Json.Int r.trace_events);
-      ("eliminations", Json.Int r.eliminations);
-      ("hop_p50", Json.Float r.hop_p50);
-      ("hop_p95", Json.Float r.hop_p95);
-      ("hop_max", Json.Float r.hop_max);
-      ("elims_per_hop_p50", Json.Float r.elims_per_hop_p50);
-      ("elims_per_hop_p95", Json.Float r.elims_per_hop_p95);
-      ("elims_per_hop_max", Json.Float r.elims_per_hop_max);
-      ("slice_states", Json.Int r.slice_states);
-      ("par_rounds", Json.Int r.par_rounds);
-      ("par_frontier", Json.Int r.par_frontier);
-      ("par_items", Json.Int r.par_items);
-      ("span_token_p50", Json.Float r.span_token_p50);
-      ("span_token_p95", Json.Float r.span_token_p95);
-      ("span_round_p50", Json.Float r.span_round_p50);
-      ("span_round_p95", Json.Float r.span_round_p95);
-      ("span_recovery_p50", Json.Float r.span_recovery_p50);
-      ("span_recovery_p95", Json.Float r.span_recovery_p95);
-      ("span_retx_p50", Json.Float r.span_retx_p50);
-      ("span_retx_p95", Json.Float r.span_retx_p95);
-      ("telemetry_lines", Json.Int r.telemetry_lines);
-      ("trace_bytes", Json.Int r.trace_bytes);
-      ("decode_ns", Json.Int r.decode_ns);
-      ("peak_words", Json.Int r.peak_words);
-      ("slice_ns", Json.Int r.slice_ns);
-      ("events_per_sec", Json.Float r.events_per_sec);
-      ("lat_p50_ns", Json.Int r.lat_p50_ns);
-      ("lat_p95_ns", Json.Int r.lat_p95_ns);
-      ("wall_ns", Json.Int r.wall_ns);
-      ("alloc_bytes", Json.Int r.alloc_bytes);
+      ("det", Json.Obj r.det);
+      ("wall", Json.Obj r.wall);
     ]
 
 let metrics_of_json j =
   let open Json in
+  let lane k =
+    match member k j with Obj l -> l | _ -> error "%S is not an object" k
+  in
   {
     job =
       {
@@ -1314,53 +1061,8 @@ let metrics_of_json j =
         param = to_int (member "param" j);
       };
     outcome = to_str (member "outcome" j);
-    states = to_int (member "states" j);
-    hops = to_int (member "hops" j);
-    polls = to_int (member "polls" j);
-    snapshots = to_int (member "snapshots" j);
-    merges = to_int (member "merges" j);
-    work = to_int (member "work" j);
-    max_work = to_int (member "max_work" j);
-    messages = to_int (member "messages" j);
-    bits = to_int (member "bits" j);
-    events = to_int (member "events" j);
-    sim_time = to_float (member "sim_time" j);
-    retransmits = to_int (member "retransmits" j);
-    dups_suppressed = to_int (member "dups_suppressed" j);
-    net_dropped = to_int (member "net_dropped" j);
-    net_duplicated = to_int (member "net_duplicated" j);
-    replayed = to_int (member "replayed" j);
-    recovery_latency = to_float (member "recovery_latency" j);
-    trace_events = to_int (member "trace_events" j);
-    eliminations = to_int (member "eliminations" j);
-    hop_p50 = to_float (member "hop_p50" j);
-    hop_p95 = to_float (member "hop_p95" j);
-    hop_max = to_float (member "hop_max" j);
-    elims_per_hop_p50 = to_float (member "elims_per_hop_p50" j);
-    elims_per_hop_p95 = to_float (member "elims_per_hop_p95" j);
-    elims_per_hop_max = to_float (member "elims_per_hop_max" j);
-    slice_states = to_int (member "slice_states" j);
-    par_rounds = to_int (member "par_rounds" j);
-    par_frontier = to_int (member "par_frontier" j);
-    par_items = to_int (member "par_items" j);
-    span_token_p50 = to_float (member "span_token_p50" j);
-    span_token_p95 = to_float (member "span_token_p95" j);
-    span_round_p50 = to_float (member "span_round_p50" j);
-    span_round_p95 = to_float (member "span_round_p95" j);
-    span_recovery_p50 = to_float (member "span_recovery_p50" j);
-    span_recovery_p95 = to_float (member "span_recovery_p95" j);
-    span_retx_p50 = to_float (member "span_retx_p50" j);
-    span_retx_p95 = to_float (member "span_retx_p95" j);
-    telemetry_lines = to_int (member "telemetry_lines" j);
-    trace_bytes = to_int (member "trace_bytes" j);
-    decode_ns = to_int (member "decode_ns" j);
-    peak_words = to_int (member "peak_words" j);
-    slice_ns = to_int (member "slice_ns" j);
-    events_per_sec = to_float (member "events_per_sec" j);
-    lat_p50_ns = to_int (member "lat_p50_ns" j);
-    lat_p95_ns = to_int (member "lat_p95_ns" j);
-    wall_ns = to_int (member "wall_ns" j);
-    alloc_bytes = to_int (member "alloc_bytes" j);
+    det = lane "det";
+    wall = lane "wall";
   }
 
 let emit ~profile results =
@@ -1396,27 +1098,29 @@ let parse_doc s =
 (* Comparison                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let job_key j =
-  Printf.sprintf "%s/%s n=%d m=%d p=%g seed=%d param=%d" j.experiment j.algo
-    j.n j.m j.p_pred j.seed j.param
+let deterministic_equal a b =
+  a.job = b.job && a.outcome = b.outcome && a.det = b.det
 
-let strip_timing r =
-  {
-    r with
-    wall_ns = 0;
-    alloc_bytes = 0;
-    slice_ns = 0;
-    decode_ns = 0;
-    peak_words = 0;
-    events_per_sec = 0.0;
-    lat_p50_ns = 0;
-    lat_p95_ns = 0;
-  }
+(* What moved between two runs of one job: the outcome, then each det
+   name whose value differs or that only one side carries. *)
+let drift b c =
+  let show = function None -> "absent" | Some v -> Json.to_string v in
+  let names =
+    List.map fst b.det
+    @ List.filter (fun k -> not (List.mem_assoc k b.det)) (List.map fst c.det)
+  in
+  (if b.outcome <> c.outcome then
+     [ Printf.sprintf "outcome %S -> %S" b.outcome c.outcome ]
+   else [])
+  @ List.filter_map
+      (fun k ->
+        let bv = List.assoc_opt k b.det and cv = List.assoc_opt k c.det in
+        if bv = cv then None
+        else Some (Printf.sprintf "%s %s -> %s" k (show bv) (show cv)))
+      names
 
-let deterministic_equal a b = strip_timing a = strip_timing b
-
-(* Compare a fresh run against a committed baseline: every deterministic
-   field must match exactly; wall time may regress at most [tolerance]
+(* Compare a fresh run against a committed baseline: every det metric
+   must match exactly; wall time may regress at most [tolerance]
    (default 0.20) on each experiment's total, with a 10 ms absolute
    floor so scheduler noise on sub-millisecond experiments cannot trip
    the gate. Returns human-readable failure lines, empty on success.
@@ -1432,21 +1136,26 @@ let wall_floor_ns = 10_000_000
 let compare_runs ?(tolerance = 0.20) ?(subset = false) ~baseline ~current () =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let drift b c =
-    if not (deterministic_equal b c) then
-      err "metrics drifted for %s (e.g. hops %d->%d, work %d->%d, messages %d->%d)"
-        (job_key b.job) b.hops c.hops b.work c.work b.messages c.messages
+  let check b c =
+    match drift b c with
+    | [] -> ()
+    | moved ->
+        err "metrics drifted for %s: %s" (job_key b.job)
+          (String.concat ", " moved)
   in
-  let cur_tbl = Hashtbl.create 64 in
-  Array.iter (fun r -> Hashtbl.replace cur_tbl (job_key r.job) r) current;
+  let index results =
+    let t = Hashtbl.create 64 in
+    Array.iter (fun r -> Hashtbl.replace t (job_key r.job) r) results;
+    t
+  in
+  let cur_tbl = index current in
   if subset then begin
-    let base_tbl = Hashtbl.create 64 in
-    Array.iter (fun r -> Hashtbl.replace base_tbl (job_key r.job) r) baseline;
+    let base_tbl = index baseline in
     Array.iter
       (fun c ->
         match Hashtbl.find_opt base_tbl (job_key c.job) with
         | None -> err "job not in baseline: %s" (job_key c.job)
-        | Some b -> drift b c)
+        | Some b -> check b c)
       current
   end
   else
@@ -1454,7 +1163,7 @@ let compare_runs ?(tolerance = 0.20) ?(subset = false) ~baseline ~current () =
       (fun b ->
         match Hashtbl.find_opt cur_tbl (job_key b.job) with
         | None -> err "missing job: %s" (job_key b.job)
-        | Some c -> drift b c)
+        | Some c -> check b c)
       baseline;
   (* Wall-clock: per-experiment totals, 20% headroom. In subset mode
      only the baseline jobs the current run re-ran count towards the
@@ -1466,7 +1175,7 @@ let compare_runs ?(tolerance = 0.20) ?(subset = false) ~baseline ~current () =
         if keep r then
           let k = r.job.experiment in
           Hashtbl.replace t k
-            (r.wall_ns + Option.value ~default:0 (Hashtbl.find_opt t k)))
+            (wall_int r "wall_ns" + Option.value ~default:0 (Hashtbl.find_opt t k)))
       results;
     t
   in

@@ -123,12 +123,11 @@ let to_json = function
    they bypass the generic [Json.emit] (which builds a 24-pair [Obj]
    per line) for direct buffer writes. The bytes are identical — a
    QCheck property pins [encode_line l = to_string (to_json l)] for
-   every line shape. *)
-let window_buf = Buffer.create 512
-
+   every line shape. The buffer is per call: streams are encoded on
+   several domains at once (parallel bench sweeps, the daemon's shards),
+   and a shared one corrupted lines. *)
 let encode_window w =
-  let buf = window_buf in
-  Buffer.clear buf;
+  let buf = Buffer.create 512 in
   let int k v =
     Buffer.add_string buf k;
     add_int buf v

@@ -123,10 +123,29 @@ type reader = {
   mutable buf : Bytes.t;
   mutable rstart : int;  (* first unconsumed byte *)
   mutable rstop : int;  (* end of valid bytes *)
+  mutable scanned : int;
+      (* bytes past [rstart] already known to hold no newline, so a scan
+         resumes where the last one stopped instead of rescanning the
+         pending line on every refill *)
   mutable eof : bool;
 }
 
-let reader fd = { fd; buf = Bytes.create 65536; rstart = 0; rstop = 0; eof = false }
+(* The longest line a reader accepts. A hello carries the spec's
+   process list, so it is the longest line the bundled client writes:
+   16 MiB holds a list of over a million process ids, far past any
+   session the service can run, while a peer that never sends a newline
+   costs the daemon at most this much buffer instead of unbounded
+   growth. *)
+let max_line = 16 * 1024 * 1024
+
+exception Line_too_long
+
+let chunk = 65536
+
+let reader fd =
+  { fd; buf = Bytes.create chunk; rstart = 0; rstop = 0; scanned = 0; eof = false }
+
+let capacity r = Bytes.length r.buf
 
 let compact r =
   if r.rstart > 0 then begin
@@ -137,14 +156,19 @@ let compact r =
   end
 
 (* One blocking read; false at EOF. Connection resets read as EOF —
-   the caller treats an abrupt peer death like a disconnect. *)
+   the caller treats an abrupt peer death like a disconnect. The buffer
+   doubles only while a pending line needs the room, and never past
+   [max_line] plus one read chunk: the line reader gives up on a longer
+   line before asking for more. *)
 let refill r =
   if r.eof then false
   else begin
     if r.rstop = Bytes.length r.buf then begin
       compact r;
       if r.rstop = Bytes.length r.buf then begin
-        let nb = Bytes.create (2 * Bytes.length r.buf) in
+        let nb =
+          Bytes.create (min (2 * Bytes.length r.buf) (max_line + chunk))
+        in
         Bytes.blit r.buf 0 nb 0 r.rstop;
         r.buf <- nb
       end
@@ -166,29 +190,31 @@ let refill r =
     end
   end
 
-let find_nl r from =
-  let i = ref from in
+let find_nl r =
+  let i = ref (r.rstart + r.scanned) in
   while !i < r.rstop && Bytes.unsafe_get r.buf !i <> '\n' do
     incr i
   done;
+  r.scanned <- !i - r.rstart;
   if !i < r.rstop then Some !i else None
 
-let has_buffered_line r = find_nl r r.rstart <> None
+let has_buffered_line r = find_nl r <> None
+
+let take r stop =
+  let span = (Bytes.unsafe_to_string r.buf, r.rstart, stop - r.rstart) in
+  r.rstart <- min r.rstop (stop + 1);
+  r.scanned <- 0;
+  span
 
 let rec read_line_span r =
-  match find_nl r r.rstart with
-  | Some i ->
-      let span = (Bytes.unsafe_to_string r.buf, r.rstart, i - r.rstart) in
-      r.rstart <- i + 1;
-      Some span
+  match find_nl r with
+  | Some i -> Some (take r i)
   | None ->
-      if refill r then read_line_span r
-      else if r.rstart < r.rstop then begin
+      if r.rstop - r.rstart > max_line then raise Line_too_long
+      else if refill r then read_line_span r
+      else if r.rstart < r.rstop then
         (* final unterminated line *)
-        let span = (Bytes.unsafe_to_string r.buf, r.rstart, r.rstop - r.rstart) in
-        r.rstart <- r.rstop;
-        Some span
-      end
+        Some (take r r.rstop)
       else None
 
 let read_line r =
@@ -200,6 +226,7 @@ let read_span r =
   if r.rstart < r.rstop || refill r then begin
     let span = (r.buf, r.rstart, r.rstop - r.rstart) in
     r.rstart <- r.rstop;
+    r.scanned <- 0;
     Some span
   end
   else None

@@ -64,14 +64,29 @@ type reader
 
 val reader : Unix.file_descr -> reader
 
+val max_line : int
+(** Longest line a reader accepts (16 MiB, well above the largest
+    hello the bundled client writes). *)
+
+exception Line_too_long
+(** A line grew past {!max_line} bytes without a newline. *)
+
+val capacity : reader -> int
+(** Current size of the internal buffer in bytes; it never exceeds
+    {!max_line} plus one 64 KiB read chunk. *)
+
 val read_line_span : reader -> (string * int * int) option
 (** The next newline-terminated line as [(buf, pos, len)] — a span of
     the reader's internal buffer (newline excluded), valid only until
     the next reader call. [None] at EOF. A final unterminated line is
-    returned as-is. Blocks for more input as needed. *)
+    returned as-is. Blocks for more input as needed; the newline scan
+    resumes where the previous one stopped.
+    @raise Line_too_long once more than {!max_line} bytes are pending
+    without a newline. *)
 
 val read_line : reader -> string option
-(** [read_line_span] copied out to a fresh string. *)
+(** [read_line_span] copied out to a fresh string.
+    @raise Line_too_long as {!read_line_span}. *)
 
 val has_buffered_line : reader -> bool
 (** Whether a complete line is already buffered — a batched ingest

@@ -47,6 +47,9 @@ type entry = {
   sess : Session.t;
   shard : int;
   mutable queued : bool;  (* guarded by the shard's mutex *)
+  mutable claimed : bool;
+      (* a connection thread is serving this session, from hello until
+         it is done with the session; guarded by [tmu] *)
 }
 
 type shard = {
@@ -265,9 +268,26 @@ let find_or_create t (h : Protocol.hello) =
   Mutex.lock t.tmu;
   match Hashtbl.find_opt t.sessions h.session with
   | Some e ->
+      (* A client that reconnects right after its connection died can
+         beat that connection's thread to the EOF that releases the
+         session: give the old thread a second to let go before calling
+         the session busy. The claim is taken under [tmu], so only one
+         connection at a time attaches, acks and ingests. *)
+      let deadline = Unix.gettimeofday () +. 1.0 in
+      while e.claimed && Unix.gettimeofday () < deadline do
+        Mutex.unlock t.tmu;
+        Thread.delay 0.01;
+        Mutex.lock t.tmu
+      done;
+      let r =
+        if e.claimed then Error "session busy: already has a live connection"
+        else begin
+          e.claimed <- true;
+          Ok (e, false)
+        end
+      in
       Mutex.unlock t.tmu;
-      if Session.has_sender e.sess then Error "session busy: already has a live connection"
-      else Ok (e, false)
+      r
   | None ->
       t.spill_seq <- t.spill_seq + 1;
       let spill_path =
@@ -293,7 +313,7 @@ let find_or_create t (h : Protocol.hello) =
         | Ok sess ->
             let slots = Array.length t.shards in
             let shard = if slots = 0 then 0 else Session.shard_key sess mod slots in
-            let e = { sess; shard; queued = false } in
+            let e = { sess; shard; queued = false; claimed = true } in
             Hashtbl.add t.sessions h.session e;
             Ok (e, true)
         | Error m -> Error m
@@ -319,6 +339,9 @@ let ingest_jsonl t e rd =
     if !cnt >= batch || ((not (Protocol.has_buffered_line rd)) && !cnt > 0)
     then flush ();
     match Protocol.read_line_span rd with
+    | exception Protocol.Line_too_long ->
+        flush ();
+        `Bad "line too long"
     | None ->
         flush ();
         `Eof
@@ -396,6 +419,57 @@ let drain_to_eof rd =
   in
   go ()
 
+(* Serve one connection's turn on session [e], which it has claimed. *)
+let serve_claimed t fd (h : Protocol.hello) rd e fresh =
+  let sender = make_sender fd in
+  t.cfg.log
+    (Printf.sprintf "session %s: %s (%s)" h.session
+       (if fresh then "opened" else "reconnected")
+       (match h.frames with
+       | Protocol.Jsonl -> "jsonl"
+       | Protocol.Binary -> "binary"));
+  (try
+     sender
+       (Protocol.Welcome
+          {
+            session = h.session;
+            acked = Session.acked e.sess;
+            credit = Session.credit e.sess;
+          })
+   with Protocol.Disconnected -> raise Exit);
+  match Session.attach_sender e.sess sender with
+  | Some stored ->
+      (* completed while disconnected: deliver and retire *)
+      Session.detach_sender e.sess;
+      (try sender stored with Protocol.Disconnected -> ());
+      remove_session t e
+  | None -> (
+      let verdict =
+        match h.frames with
+        | Protocol.Jsonl -> ingest_jsonl t e rd
+        | Protocol.Binary -> ingest_binary t e rd
+      in
+      match verdict with
+      | `Bad m ->
+          Session.fail e.sess m;
+          (try sender (Protocol.Error_msg { message = m })
+           with Protocol.Disconnected -> ());
+          Session.detach_sender e.sess;
+          t.cfg.log (Printf.sprintf "session %s: protocol error: %s" h.session m);
+          remove_session t e
+      | `Eof ->
+          (* mid-stream disconnect: park for a reconnect *)
+          Session.detach_sender e.sess;
+          t.cfg.log
+            (Printf.sprintf "session %s: disconnected at %d events"
+               h.session (Session.acked e.sess))
+      | `Finished ->
+          (* hold the connection until the result goes out and the
+             client hangs up (or the peer vanishes) *)
+          drain_to_eof rd;
+          Session.detach_sender e.sess;
+          if Session.delivered e.sess then remove_session t e)
+
 let handle_client t fd (h : Protocol.hello) rd =
   match find_or_create t h with
   | Error m ->
@@ -403,59 +477,24 @@ let handle_client t fd (h : Protocol.hello) rd =
          Protocol.write_string fd
            (Protocol.encode_server (Protocol.Error_msg { message = m }) ^ "\n")
        with Protocol.Disconnected -> ())
-  | Ok (e, fresh) -> (
-      let sender = make_sender fd in
-      t.cfg.log
-        (Printf.sprintf "session %s: %s (%s)" h.session
-           (if fresh then "opened" else "reconnected")
-           (match h.frames with
-           | Protocol.Jsonl -> "jsonl"
-           | Protocol.Binary -> "binary"));
-      (try
-         sender
-           (Protocol.Welcome
-              {
-                session = h.session;
-                acked = Session.acked e.sess;
-                credit = Session.credit e.sess;
-              })
-       with Protocol.Disconnected -> raise Exit);
-      match Session.attach_sender e.sess sender with
-      | Some stored ->
-          (* completed while disconnected: deliver and retire *)
-          Session.detach_sender e.sess;
-          (try sender stored with Protocol.Disconnected -> ());
-          remove_session t e
-      | None -> (
-          let verdict =
-            match h.frames with
-            | Protocol.Jsonl -> ingest_jsonl t e rd
-            | Protocol.Binary -> ingest_binary t e rd
-          in
-          match verdict with
-          | `Bad m ->
-              Session.fail e.sess m;
-              (try sender (Protocol.Error_msg { message = m })
-               with Protocol.Disconnected -> ());
-              Session.detach_sender e.sess;
-              t.cfg.log (Printf.sprintf "session %s: protocol error: %s" h.session m);
-              remove_session t e
-          | `Eof ->
-              (* mid-stream disconnect: park for a reconnect *)
-              Session.detach_sender e.sess;
-              t.cfg.log
-                (Printf.sprintf "session %s: disconnected at %d events"
-                   h.session (Session.acked e.sess))
-          | `Finished ->
-              (* hold the connection until the result goes out and the
-                 client hangs up (or the peer vanishes) *)
-              drain_to_eof rd;
-              Session.detach_sender e.sess;
-              if Session.delivered e.sess then remove_session t e))
+  | Ok (e, fresh) ->
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.lock t.tmu;
+          e.claimed <- false;
+          Mutex.unlock t.tmu)
+        (fun () -> serve_claimed t fd h rd e fresh)
 
 let handle_conn t fd =
   let rd = Protocol.reader fd in
+  let reject message =
+    try
+      Protocol.write_string fd
+        (Protocol.encode_server (Protocol.Error_msg { message }) ^ "\n")
+    with Protocol.Disconnected -> ()
+  in
   match Protocol.read_line_span rd with
+  | exception Protocol.Line_too_long -> reject "line too long"
   | None -> ()
   | Some (s, pos, len) -> (
       match Protocol.decode_client s ~pos ~len with
@@ -464,25 +503,15 @@ let handle_conn t fd =
           let w = add_watcher t fd in
           t.cfg.log "watcher attached";
           let rec go () =
-            match Protocol.read_line rd with Some _ -> go () | None -> ()
+            match Protocol.read_line rd with
+            | Some _ -> go ()
+            | None | (exception Protocol.Line_too_long) -> ()
           in
           go ();
           remove_watcher t w;
           t.cfg.log "watcher detached"
-      | Ok _ ->
-          (try
-             Protocol.write_string fd
-               (Protocol.encode_server
-                  (Protocol.Error_msg { message = "expected hello or watch" })
-               ^ "\n")
-           with Protocol.Disconnected -> ())
-      | Error m ->
-          (try
-             Protocol.write_string fd
-               (Protocol.encode_server
-                  (Protocol.Error_msg { message = "bad hello: " ^ m })
-               ^ "\n")
-           with Protocol.Disconnected -> ()))
+      | Ok _ -> reject "expected hello or watch"
+      | Error m -> reject ("bad hello: " ^ m))
 
 let accept_loop t =
   let continue = ref true in

@@ -296,8 +296,6 @@ let attach_sender t w =
 
 let detach_sender t = locked t (fun () -> t.sender <- None)
 
-let has_sender t = locked t (fun () -> t.sender <> None)
-
 let send t msg =
   match locked t (fun () -> t.sender) with
   | None -> ()

@@ -83,10 +83,6 @@ val detach_sender : t -> unit
 (** The connection died; metrics/credit/result lines are stored or
     dropped until a reconnect. *)
 
-val has_sender : t -> bool
-(** Whether a live connection currently owns this session (a second
-    concurrent [hello] for the same id is refused, not queued). *)
-
 val send : t -> Protocol.server_msg -> unit
 (** Write through the attached sender, if any; a dead peer detaches
     it. Never called with the session lock held. *)

@@ -1,8 +1,8 @@
-(* The machine-readable bench harness: JSON round-trip, schema
-   stability, and the determinism contract (sequential and parallel
-   sweeps must produce identical metrics). Runs the smoke profile, so
-   this doubles as an end-to-end exercise of the E1-E8 job runner
-   inside `dune runtest`. *)
+(* The bench pipeline: JSON round-trip, schema stability, the
+   determinism contract (sequential and parallel sweeps must produce
+   identical det metrics), drift reports, and the table renderers. Runs
+   the smoke profile, so this doubles as an end-to-end exercise of
+   every producer and every row-backed table inside `dune runtest`. *)
 
 open Wcp_bench
 
@@ -32,7 +32,8 @@ let test_smoke_runs () =
         true valid;
       Alcotest.(check bool)
         (Bench_json.job_key r.job ^ " did simulation work")
-        true (r.events > 0))
+        true
+        (Bench_json.det_int r "events" > 0))
     results
 
 let test_json_roundtrip () =
@@ -62,7 +63,11 @@ let test_json_values () =
   let first = List.hd (to_list (member "results" j)) in
   Alcotest.(check string) "experiment" "E1" (to_str (member "experiment" first));
   Alcotest.(check bool) "wall_ns is an int" true
-    (match member "wall_ns" first with Int _ -> true | _ -> false)
+    (match member "wall_ns" (member "wall" first) with
+    | Int _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "det is an object" true
+    (match member "det" first with Obj (_ :: _) -> true | _ -> false)
 
 let test_parallel_matches_sequential () =
   let seq = Lazy.force smoke_seq in
@@ -80,13 +85,57 @@ let test_compare_runs_self () =
   Alcotest.(check (list string)) "self-compare is clean" []
     (Bench_json.compare_runs ~baseline:results ~current:results ())
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_compare_runs_detects_drift () =
   let results = Lazy.force smoke_seq in
-  let tampered = Array.map (fun r -> r) results in
-  tampered.(0) <- { tampered.(0) with Bench_json.hops = 999_999 };
+  let tampered = Array.copy results in
+  let r = tampered.(0) in
+  tampered.(0) <-
+    {
+      r with
+      Bench_json.det =
+        List.map
+          (fun (k, v) ->
+            if k = "hops" then (k, Wcp_obs.Export.Json.Int 999_999) else (k, v))
+          r.Bench_json.det;
+    };
+  let key = Bench_json.job_key r.Bench_json.job in
   match Bench_json.compare_runs ~baseline:results ~current:tampered () with
-  | [] -> Alcotest.fail "drifted metrics went unnoticed"
-  | _ :: _ -> ()
+  | [ line ] ->
+      Alcotest.(check bool) ("names the job: " ^ line) true (contains line key);
+      Alcotest.(check bool) ("names the metric: " ^ line) true
+        (contains line "hops " && contains line "-> 999999")
+  | lines ->
+      Alcotest.failf "expected one drift line, got %d" (List.length lines)
+
+let test_unknown_metric () =
+  let r = (Lazy.force smoke_seq).(0) in
+  Alcotest.check_raises "unknown det name"
+    (Invalid_argument
+       (Printf.sprintf "Bench_json: %s has no det metric \"no_such\""
+          (Bench_json.job_key r.Bench_json.job)))
+    (fun () -> ignore (Bench_json.det_int r "no_such"));
+  match Bench_json.wall_int r "hops" with
+  | _ -> Alcotest.fail "a det name was found in the wall lane"
+  | exception Invalid_argument _ -> ()
+
+let test_render_tables () =
+  let results = Lazy.force smoke_seq in
+  List.iter
+    (fun exp ->
+      let out = Bench_tables.render exp results in
+      (* header block (blank, rule, title, claim, rule), the column
+         header, then at least one line drawn from the smoke rows *)
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' out)
+      in
+      if List.length lines < 6 then
+        Alcotest.failf "%s rendered no rows from the smoke profile:\n%s" exp out)
+    Bench_tables.row_backed
 
 let test_parse_errors () =
   let bad s =
@@ -113,5 +162,7 @@ let () =
           Alcotest.test_case "compare: drift" `Quick
             test_compare_runs_detects_drift;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "unknown metric" `Quick test_unknown_metric;
+          Alcotest.test_case "render tables" `Quick test_render_tables;
         ] );
     ]

@@ -204,6 +204,89 @@ let test_metrics () =
           | Error m -> Alcotest.failf "bad wcp-metrics/1 line %S: %s" l m)
         !lines)
 
+(* --- one live connection per session -------------------------------- *)
+
+let test_busy () =
+  let comp = random_comp ~n:4 ~m:10 ~p_pred:0.3 ~seed:11L in
+  let procs = Array.init 4 Fun.id in
+  let expect = offline_outcome comp ~algo:"token-vc" ~procs ~seed:1L ~groups:2 in
+  with_server (fun addr ->
+      (* a raw client holds session "busy" open after its welcome *)
+      let src = Computation.Stream.of_computation comp in
+      let hello =
+        {
+          Protocol.session = "busy";
+          n = 4;
+          algo = "token-vc";
+          procs;
+          seed = 1L;
+          groups = 2;
+          pred0 = Array.init 4 (fun p -> src.Computation.Stream.pred ~proc:p ~state:1);
+          frames = Protocol.Binary;
+          metrics_every = 0.;
+        }
+      in
+      let fd = Protocol.connect ~retry:5. addr in
+      Protocol.write_string fd (Protocol.encode_client (Protocol.Hello hello) ^ "\n");
+      (match Protocol.read_line (Protocol.reader fd) with
+      | Some l -> (
+          match Protocol.decode_server l ~pos:0 ~len:(String.length l) with
+          | Ok (Protocol.Welcome _) -> ()
+          | _ -> Alcotest.failf "expected a welcome, got %S" l)
+      | None -> Alcotest.fail "no welcome");
+      (match feed ~addr ~session:"busy" ~algo:"token-vc" comp with
+      | Error m ->
+          Alcotest.(check string) "second connection refused"
+            "session busy: already has a live connection" m
+      | Ok _ -> Alcotest.fail "two live connections shared a session");
+      (* once the holder hangs up, the session is free again *)
+      Unix.close fd;
+      Alcotest.(check string) "outcome after the holder left" expect
+        (served_outcome "busy" (feed ~addr ~session:"busy" ~algo:"token-vc" comp)))
+
+(* --- hostile client: bytes with no newline ------------------------ *)
+
+(* Write [len] bytes of ['x'] — never a newline — to [fd]. *)
+let send_junk fd len =
+  let chunk = Bytes.make 65536 'x' in
+  let left = ref len in
+  try
+    while !left > 0 do
+      let k = min !left (Bytes.length chunk) in
+      Protocol.write_all fd chunk ~pos:0 ~len:k;
+      left := !left - k
+    done
+  with Protocol.Disconnected -> ()
+
+let test_line_cap () =
+  (* The reader itself: one byte past the cap raises, and the buffer
+     stops growing at the cap plus one read chunk. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer = Thread.create (send_junk a) (Protocol.max_line + 1) in
+  let rd = Protocol.reader b in
+  (match Protocol.read_line_span rd with
+  | exception Protocol.Line_too_long -> ()
+  | _ -> Alcotest.fail "an over-long line was accepted");
+  Alcotest.(check bool) "reader buffer bounded" true
+    (Protocol.capacity rd <= Protocol.max_line + 65536);
+  Thread.join writer;
+  Unix.close a;
+  Unix.close b;
+  (* The daemon: it answers with an error line, then hangs up. *)
+  with_server (fun addr ->
+      let fd = Protocol.connect ~retry:5. addr in
+      send_junk fd (Protocol.max_line + 1);
+      let rd = Protocol.reader fd in
+      (match Protocol.read_line rd with
+      | Some l -> (
+          match Protocol.decode_server l ~pos:0 ~len:(String.length l) with
+          | Ok (Protocol.Error_msg { message }) ->
+              Alcotest.(check string) "error message" "line too long" message
+          | _ -> Alcotest.failf "expected an error line, got %S" l)
+      | None -> Alcotest.fail "connection closed without an error line");
+      Alcotest.(check (option string)) "then EOF" None (Protocol.read_line rd);
+      Unix.close fd)
+
 let () =
   Alcotest.run "serve"
     [
@@ -215,5 +298,7 @@ let () =
           Alcotest.test_case "kill and reconnect" `Quick test_reconnect;
           Alcotest.test_case "concurrent sessions" `Quick test_concurrent;
           Alcotest.test_case "metrics stream" `Quick test_metrics;
+          Alcotest.test_case "line cap" `Quick test_line_cap;
+          Alcotest.test_case "busy session" `Quick test_busy;
         ] );
     ]

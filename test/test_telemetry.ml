@@ -146,6 +146,29 @@ let fast_path_bytes =
       String.equal (Telemetry.encode_line l)
         (Export.Json.to_string (Telemetry.to_json l)))
 
+(* Streams are encoded on several domains at once (parallel bench
+   sweeps, the daemon's shards): two domains encoding windows side by
+   side must each get exactly the sequential bytes. *)
+let test_encode_across_domains () =
+  let windows =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:64 gen_window
+    |> List.map (fun w -> Telemetry.Window w)
+  in
+  let expect = List.map Telemetry.encode_line windows in
+  let encoder () =
+    Domain.spawn (fun () ->
+        let bad = ref 0 in
+        for _ = 1 to 200 do
+          List.iter2
+            (fun l e -> if Telemetry.encode_line l <> e then incr bad)
+            windows expect
+        done;
+        !bad)
+  in
+  let a = encoder () and b = encoder () in
+  Alcotest.(check (pair int int)) "corrupted lines" (0, 0)
+    (Domain.join a, Domain.join b)
+
 let stream_roundtrip =
   qtest ~count:100 "decode inverts a whole stream"
     QCheck2.Gen.(list_size (int_range 0 30) gen_line)
@@ -403,6 +426,8 @@ let () =
           stream_roundtrip;
           Alcotest.test_case "malformed lines rejected" `Quick
             test_decode_errors;
+          Alcotest.test_case "window encoding across domains" `Quick
+            test_encode_across_domains;
         ] );
       ( "windows",
         [ Alcotest.test_case "window and phase mechanics" `Quick
