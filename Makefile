@@ -39,12 +39,13 @@ bench-smoke:
 	dune exec bench/main.exe -- perf-check $(BENCH_BASELINE) _build/bench-smoke.json --subset
 
 # Everything a PR should pass — every CI gate: build, tests, the smoke
-# perf gate, the CLI-level trace/store/telemetry/service gates, and the
-# end-to-end benchmark's cut-correctness run.
-check: build test bench-smoke trace-check btrace-check telemetry-check serve-check perfbench-check
+# perf gate, the full slicing/chaos/recovery sweeps, the CLI-level
+# trace/store/telemetry/service gates, and the end-to-end benchmark's
+# cut-correctness run.
+check: build test bench-smoke slice-check chaos-soak recovery-soak trace-check btrace-check telemetry-check serve-check perfbench-check
 
-# Full chaos matrix (drop rate x size x seed, token-vc + token-dd vs
-# the fault-free oracle). A bounded smoke of the same test always runs
+# Full chaos matrix (drop rate x size x seed, token-vc, token-dd and
+# token-dd-par vs the fault-free oracle). A bounded smoke of the same test always runs
 # inside `make test`; this target unlocks the whole sweep.
 chaos-soak:
 	WCP_CHAOS_SOAK=1 dune exec test/test_soak.exe -- test chaos
@@ -188,8 +189,9 @@ serve-check:
 perfbench-check:
 	python3 perfbench/run.py --workload all --seconds 5
 
-# Full-corpus slicing agreement sweep: every detector, dense vs sliced
-# (--slice / Detection.options ~slice:true), across sizes x predicate
+# Full-corpus slicing agreement sweep: every registered detector, dense
+# vs sliced (--slice / Algo.run ~slice:true), plus GCP through
+# Run_common.with_slice, across sizes x predicate
 # densities x seeds x full and partial specs — outcomes must be
 # identical with cuts in dense coordinates. A bounded smoke of the same
 # sweep always runs inside `make test`; this target unlocks the whole

@@ -143,7 +143,7 @@ let run_sim ?recorder job =
   (* E17 ablates computation slicing: param=1 detects on the slice
      (identical outcome, remapped cut), param=0 on the dense run. *)
   let slice = job.experiment = "E17" && job.param <> 0 in
-  let options = Detection.options ~delta ~slice () in
+  let options = Detection.options ~delta () in
   (* E3 sweeps the multi-token group count in [param]; elsewhere
      multi-token runs 2 groups (the E3 sweet spot). *)
   let groups = if job.experiment = "E3" then job.param else 2 in
@@ -153,8 +153,8 @@ let run_sim ?recorder job =
     if job.experiment = "E18" && job.param > 0 then Some job.param else None
   in
   let r =
-    Algo.run (algo_of job) ?fault ?recorder ~groups ?domains ~options ~seed
-      comp spec
+    Algo.run (algo_of job) ?fault ?recorder ~groups ?domains ~slice ~options
+      ~seed comp spec
   in
   (comp, spec, r)
 

@@ -41,24 +41,70 @@ let output_arg =
   let doc = "Output trace file; - for stdout." in
   Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
+(* Every bad argument ends in a one-line [wcpdetect: ...] diagnostic
+   and exit 2: [die] for the checks that need the trace, converters
+   for the rest (their errors are cut to one line in the main
+   evaluation below). *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("wcpdetect: " ^ msg);
+      exit 2)
+    fmt
+
+let positive_int =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some k when k >= 1 -> Ok k
+        | _ -> Error (Printf.sprintf "%S is not a positive integer" s)),
+      Format.pp_print_int )
+
+let probability =
+  Arg.conv'
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+        | _ -> Error (Printf.sprintf "%S is not a probability in [0,1]" s)),
+      Format.pp_print_float )
+
+(* A set of process ids, sorted: duplicates collapse. *)
+let procs_conv =
+  let parse s =
+    match
+      String.split_on_char ',' s
+      |> List.filter (fun t -> t <> "")
+      |> List.map int_of_string_opt
+    with
+    | ps when ps <> [] && List.for_all (Option.fold ~none:false ~some:(( <= ) 0)) ps
+      ->
+        Ok (Array.of_list (List.sort_uniq compare (List.filter_map Fun.id ps)))
+    | _ -> Error (Printf.sprintf "%S is not a comma-separated list of process ids" s)
+  in
+  let print ppf procs =
+    Format.pp_print_string ppf
+      (String.concat "," (List.map string_of_int (Array.to_list procs)))
+  in
+  Arg.conv' (parse, print)
+
 let procs_arg =
   let doc =
     "Comma-separated processes the WCP spans (e.g. 0,2,5). Default: all."
   in
-  Arg.(value & opt (some string) None & info [ "procs" ] ~docv:"PROCS" ~doc)
+  Arg.(value & opt (some procs_conv) None & info [ "procs" ] ~docv:"PROCS" ~doc)
 
-let parse_procs s =
-  let procs =
-    String.split_on_char ',' s
-    |> List.filter (fun t -> t <> "")
-    |> List.map int_of_string |> Array.of_list
-  in
-  Array.sort compare procs;
+(* The range half of --procs, once the process count is known. *)
+let check_procs ~n procs =
+  Array.iter
+    (fun p ->
+      if p >= n then
+        die "--procs: no process %d (the trace has %d processes)" p n)
+    procs;
   procs
 
 let spec_of comp = function
   | None -> Spec.all comp
-  | Some s -> Spec.make comp (parse_procs s)
+  | Some procs -> Spec.make comp (check_procs ~n:(Computation.n comp) procs)
 
 let emit_trace out comp =
   match out with
@@ -78,8 +124,7 @@ let emit_trace out comp =
 let load_trace path =
   try Trace_codec.read_file path
   with Trace_codec.Parse_error { line; message } ->
-    Printf.eprintf "wcpdetect: %s:%d: %s\n" path line message;
-    exit 2
+    die "%s:%d: %s" path line message
 
 (* ------------------------------------------------------------------ *)
 (* Fault-plan arguments (shared by detect and chaos)                   *)
@@ -87,15 +132,42 @@ let load_trace path =
 
 let drop_arg =
   let doc = "Per-delivery message loss probability on every link." in
-  Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "drop" ] ~docv:"P" ~doc)
 
 let dup_arg =
   let doc = "Per-delivery message duplication probability on every link." in
-  Arg.(value & opt float 0.0 & info [ "dup" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.0 & info [ "dup" ] ~docv:"P" ~doc)
 
 let fault_seed_arg =
   let doc = "Seed of the fault plan's private PRNG stream." in
   Arg.(value & opt int64 0L & info [ "fault-seed" ] ~docv:"SEED" ~doc)
+
+(* A fault window ID@START or ID@START-END; [default_end] supplies END
+   when it is omitted. *)
+let window_conv ~kind ~default_end =
+  let parse spec =
+    let window proc from_t until_t =
+      match Fault.window ?until_t ~kind ~proc ~from_t () with
+      | w -> Ok w
+      | exception Invalid_argument msg -> Error msg
+    in
+    match String.split_on_char '@' spec with
+    | [ id; times ] -> (
+        match
+          ( int_of_string_opt id,
+            List.map float_of_string_opt (String.split_on_char '-' times) )
+        with
+        | Some proc, [ Some from_t ] -> window proc from_t (default_end from_t)
+        | Some proc, [ Some from_t; Some until_t ] ->
+            window proc from_t (Some until_t)
+        | _ -> Error (Printf.sprintf "%S is not ID@START or ID@START-END" spec))
+    | _ -> Error (Printf.sprintf "%S is not ID@START or ID@START-END" spec)
+  in
+  let print ppf (w : Fault.window) =
+    Format.fprintf ppf "%d@%g" w.Fault.proc w.Fault.from_t;
+    Option.iter (Format.fprintf ppf "-%g") w.Fault.until_t
+  in
+  Arg.conv' (parse, print)
 
 let crash_arg =
   let doc =
@@ -103,25 +175,10 @@ let crash_arg =
      process p is p, its monitor is N+p). Without -END the crash is \
      permanent. Repeatable."
   in
-  Arg.(value & opt_all string [] & info [ "crash" ] ~docv:"SPEC" ~doc)
-
-let parse_crash spec =
-  let fail () =
-    failwith (Printf.sprintf "bad --crash %S (want ID@START or ID@START-END)" spec)
-  in
-  match String.split_on_char '@' spec with
-  | [ id; times ] -> (
-      let proc = try int_of_string id with _ -> fail () in
-      match String.split_on_char '-' times with
-      | [ t ] ->
-          let from_t = try float_of_string t with _ -> fail () in
-          Fault.window ~kind:Fault.Crash ~proc ~from_t ()
-      | [ a; b ] ->
-          let from_t = try float_of_string a with _ -> fail () in
-          let until_t = try float_of_string b with _ -> fail () in
-          Fault.window ~kind:Fault.Crash ~proc ~from_t ~until_t ()
-      | _ -> fail ())
-  | _ -> fail ()
+  Arg.(
+    value
+    & opt_all (window_conv ~kind:Fault.Crash ~default_end:(fun _ -> None)) []
+    & info [ "crash" ] ~docv:"SPEC" ~doc)
 
 let restart_arg =
   let doc =
@@ -130,40 +187,24 @@ let restart_arg =
      recovery). The process's in-memory state is destroyed at START and \
      rebuilt from its last checkpoint at END (default START+8). Repeatable."
   in
-  Arg.(value & opt_all string [] & info [ "restart" ] ~docv:"SPEC" ~doc)
-
-let parse_restart spec =
-  let fail () =
-    failwith
-      (Printf.sprintf "bad --restart %S (want ID@START or ID@START-END)" spec)
-  in
-  match String.split_on_char '@' spec with
-  | [ id; times ] -> (
-      let proc = try int_of_string id with _ -> fail () in
-      match String.split_on_char '-' times with
-      | [ t ] ->
-          let from_t = try float_of_string t with _ -> fail () in
-          Fault.window ~kind:Fault.Restart ~proc ~from_t
-            ~until_t:(from_t +. 8.0) ()
-      | [ a; b ] ->
-          let from_t = try float_of_string a with _ -> fail () in
-          let until_t = try float_of_string b with _ -> fail () in
-          Fault.window ~kind:Fault.Restart ~proc ~from_t ~until_t ()
-      | _ -> fail ())
-  | _ -> fail ()
+  Arg.(
+    value
+    & opt_all
+        (window_conv ~kind:Fault.Restart ~default_end:(fun t -> Some (t +. 8.0)))
+        []
+    & info [ "restart" ] ~docv:"SPEC" ~doc)
 
 let ckpt_every_arg =
   let doc =
     "Checkpoint each restarting monitor after every K-th handled message \
      (only meaningful with $(b,--restart); 1 = exact state transfer)."
   in
-  Arg.(value & opt int 1 & info [ "ckpt-every" ] ~docv:"K" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "ckpt-every" ] ~docv:"K" ~doc)
 
 let fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed =
-  let windows =
-    List.map parse_crash crashes @ List.map parse_restart restarts
+  let plan =
+    Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
   in
-  let plan = Fault.uniform ~seed:fault_seed ~drop ~dup ~windows () in
   if Fault.is_none plan then None else Some plan
 
 (* ------------------------------------------------------------------ *)
@@ -309,7 +350,7 @@ let algo_arg =
 
 let groups_arg =
   Arg.(
-    value & opt int 2
+    value & opt positive_int 2
     & info [ "groups" ] ~docv:"G" ~doc:"Groups for multi-token (§3.5).")
 
 let verbose_arg =
@@ -433,10 +474,7 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
           end )
 
 let needs_detector what =
-  prerr_endline
-    (Printf.sprintf "wcpdetect: %s needs a detection algorithm (%s)" what
-       Algo.names);
-  exit 2
+  die "%s needs a detection algorithm (%s)" what Algo.names
 
 let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
     ~seed comp spec =
@@ -445,18 +483,14 @@ let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
   in
   if slice && detector = None then needs_detector "--slice";
   let fault_ok = Option.fold ~none:false ~some:Algo.fault_ok detector in
-  if Option.is_some fault && not fault_ok then begin
-    prerr_endline
-      "wcpdetect: fault injection is only supported for the token algorithms";
-    exit 2
-  end;
+  if Option.is_some fault && not fault_ok then
+    die "fault injection is only supported for the token algorithms";
   if Option.is_some recorder && detector = None then needs_detector "tracing";
   match algo with
   | Detector a ->
       Some
-        (Algo.run a ?fault ?recorder ~ckpt_every ~groups
-           ~options:(Detection.options ~slice ())
-           ~seed comp spec)
+        (Algo.run a ?fault ?recorder ~ckpt_every ~groups ~slice
+           ~options:Detection.default_options ~seed comp spec)
   | Oracle_a ->
       Format.printf "oracle: %a@." Detection.pp_outcome
         (Oracle.first_cut comp spec);
@@ -498,32 +532,23 @@ let detect_cmd =
     in
     let result =
       if stream then begin
-        if slice then begin
-          prerr_endline
-            "wcpdetect: --stream already detects on the slice; drop --slice";
-          exit 2
-        end;
+        if slice then die "--stream already detects on the slice; drop --slice";
         let detector =
           match algo with
           | Detector a -> a
           | Oracle_a | Cm | Strong_a -> needs_detector "--stream"
         in
-        let fail fmt =
-          Printf.ksprintf
-            (fun msg ->
-              Printf.eprintf "wcpdetect: %s: %s\n" trace msg;
-              exit 2)
-            fmt
-        in
+        let fail fmt = die ("%s: " ^^ fmt) trace in
         let reader =
           try Btrace.openfile trace with
           | Btrace.Corrupt msg -> fail "btrace: %s" msg
           | Unix.Unix_error (e, _, _) -> fail "%s" (Unix.error_message e)
         in
+        let n = Btrace.num_processes reader in
         let procs_arr =
           match procs with
-          | None -> Array.init (Btrace.num_processes reader) Fun.id
-          | Some s -> parse_procs s
+          | None -> Array.init n Fun.id
+          | Some procs -> check_procs ~n procs
         in
         try
           Some
@@ -819,9 +844,7 @@ let top_cmd =
 let parse_addr_or_die s =
   match Wcp_serve.Protocol.parse_addr s with
   | Ok a -> a
-  | Error m ->
-      Printf.eprintf "wcpdetect: %s\n" m;
-      exit 2
+  | Error m -> die "%s" m
 
 let serve_cmd =
   let listen =
@@ -1006,7 +1029,9 @@ let feed_cmd =
     in
     let n = src.Computation.Stream.src_n in
     let procs_arr =
-      match procs with None -> Array.init n Fun.id | Some s -> parse_procs s
+      match procs with
+      | None -> Array.init n Fun.id
+      | Some procs -> check_procs ~n procs
     in
     let session =
       match session with
@@ -1066,25 +1091,20 @@ let feed_cmd =
 
 let chaos_cmd =
   let algo =
-    let doc = "Algorithm under test: token-vc, multi-token or token-dd." in
+    let under_test = List.filter Algo.fault_ok Algo.all in
+    let doc = "Algorithm under test: " ^ Algo.names_of under_test ^ "." in
     Arg.(
       value
-      & opt
-          (enum
-             (List.map
-                (fun a -> (Algo.name a, a))
-                [ Algo.Token_vc; Algo.Multi_token; Algo.Token_dd ]))
-          Algo.Token_vc
+      & opt (enum (List.map (fun a -> (Algo.name a, a)) under_test)) Algo.Token_vc
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
   let run trace algo groups procs seed drop dup crashes restarts ckpt_every
       fault_seed trace_out trace_format metrics_out metrics_every =
     let comp = load_trace trace in
     let spec = spec_of comp procs in
-    let windows =
-      List.map parse_crash crashes @ List.map parse_restart restarts
+    let fault =
+      Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
     in
-    let fault = Fault.uniform ~seed:fault_seed ~drop ~dup ~windows () in
     let recorder =
       match trace_out with
       | None -> None
@@ -1342,23 +1362,40 @@ let () =
     Cmd.info "wcpdetect" ~version:"1.0.0"
       ~doc:"Distributed detection of weak conjunctive predicates (Garg & Chase, ICDCS 1995)"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            generate_cmd;
-            convert_cmd;
-            workload_cmd;
-            detect_cmd;
-            trace_cmd;
-            explain_cmd;
-            top_cmd;
-            serve_cmd;
-            feed_cmd;
-            chaos_cmd;
-            compare_cmd;
-            render_cmd;
-            gcp_cmd;
-            live_cmd;
-            lowerbound_cmd;
-          ]))
+  let cmd =
+    Cmd.group info
+      [
+        generate_cmd;
+        convert_cmd;
+        workload_cmd;
+        detect_cmd;
+        trace_cmd;
+        explain_cmd;
+        top_cmd;
+        serve_cmd;
+        feed_cmd;
+        chaos_cmd;
+        compare_cmd;
+        render_cmd;
+        gcp_cmd;
+        live_cmd;
+        lowerbound_cmd;
+      ]
+  in
+  (* Cmdliner reports a bad argument as its message plus usage lines,
+     exit 124; keep only the message line (it names the option) and
+     exit 2, like every other argument error of this tool. *)
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err max_int;
+  let code = Cmd.eval ~err cmd in
+  Format.pp_print_flush err ();
+  let msg = Buffer.contents buf in
+  if code = Cmd.Exit.cli_error then begin
+    prerr_endline (List.hd (String.split_on_char '\n' msg));
+    exit 2
+  end
+  else begin
+    prerr_string msg;
+    exit code
+  end

@@ -14,10 +14,14 @@ let of_string = function
   | "token-multi" -> Some Multi_token
   | s -> List.find_opt (fun a -> name a = s) all
 
-let names =
-  match List.rev_map name all with
-  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
-  | [] -> ""
+let names_of algos =
+  match List.rev_map name algos with
+  | last :: (_ :: _ as rest) ->
+      String.concat ", " (List.rev rest) ^ " or " ^ last
+  | [ last ] -> last
+  | _ -> ""
+
+let names = names_of all
 
 let full_width = function
   | Token_dd | Token_dd_par -> true
@@ -30,22 +34,28 @@ let fault_ok = function
   | Token_vc | Multi_token | Token_dd | Token_dd_par -> true
   | Checker | Parallel -> false
 
-let run a ?fault ?recorder ?ckpt_every ?(groups = 2) ?domains ~options ~seed
-    comp spec =
+let run a ?fault ?recorder ?ckpt_every ?(groups = 2) ?domains ?(slice = false)
+    ~options ~seed comp spec =
   if Option.is_some fault && not (fault_ok a) then
     invalid_arg ("Algo.run: no fault injection for " ^ name a);
-  match a with
-  | Token_vc ->
-      Token_vc.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
-  | Multi_token ->
-      Token_multi.detect ?fault ?recorder ?ckpt_every ~options
-        ~groups:(min groups (Spec.width spec))
-        ~seed comp spec
-  | Token_dd ->
-      Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
-  | Token_dd_par ->
-      Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~parallel:true
-        ~seed comp spec
-  | Checker -> Checker_centralized.detect ?recorder ~options ~seed comp spec
-  | Parallel ->
-      Checker_parallel.detect ?recorder ?domains ~options ~seed comp spec
+  let dense comp spec =
+    match a with
+    | Token_vc ->
+        Token_vc.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
+    | Multi_token ->
+        Token_multi.detect ?fault ?recorder ?ckpt_every ~options
+          ~groups:(min groups (Spec.width spec))
+          ~seed comp spec
+    | Token_dd ->
+        Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
+    | Token_dd_par ->
+        Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~parallel:true
+          ~seed comp spec
+    | Checker -> Checker_centralized.detect ?recorder ~options ~seed comp spec
+    | Parallel ->
+        Checker_parallel.detect ?recorder ?domains ~options ~seed comp spec
+  in
+  if slice then
+    Run_common.with_slice ?recorder ~keep_rest:(full_width a) comp spec
+      ~run:dense
+  else dense comp spec

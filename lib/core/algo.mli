@@ -5,7 +5,9 @@
     detectors are interchangeable and choosing one is a table lookup.
     The CLI, the streaming service and the bench all select detectors
     here; adding a detector means adding a constructor and its row in
-    this module, nowhere else. The per-detector [detect] entry points
+    this module, nowhere else. The slice policy lives here too: a
+    detector's own [detect] always runs on the computation it is
+    given. The per-detector [detect] entry points
     stay public (the tests call them directly as the reference this
     table is checked against). *)
 
@@ -30,10 +32,12 @@ val of_string : string -> t option
 (** Inverse of {!name}; also accepts ["token-multi"], the spelling of
     multi-token in bench job keys (BENCH_1.json). *)
 
+val names_of : t list -> string
+(** The {!name}s as an English list (["token-vc, token-dd or
+    checker"]), for messages and help text. *)
+
 val names : string
-(** Every {!name} as an English list
-    (["token-vc, multi-token, ..., checker or parallel"]), for
-    messages and help text. *)
+(** [names_of all]. *)
 
 val full_width : t -> bool
 (** Whether the detected cut spans all [N] processes rather than the
@@ -59,6 +63,7 @@ val run :
   ?ckpt_every:int ->
   ?groups:int ->
   ?domains:int ->
+  ?slice:bool ->
   options:Detection.options ->
   seed:int64 ->
   Computation.t ->
@@ -69,5 +74,11 @@ val run :
     (default 2, clamped to the spec width) to multi-token; [domains]
     to the parallel checker. A parameter another detector does not
     take is ignored.
+
+    [slice] (default [false]) runs the detector on the computation
+    slice instead ({!Run_common.with_slice}, keeping every state of
+    the non-spec processes when {!full_width}) and maps the cut back
+    to dense coordinates: same outcome, fewer events examined (bench
+    E17). This is the one place a dense run is sliced.
     @raise Invalid_argument if [fault] is given and not
     [fault_ok]. *)

@@ -182,8 +182,6 @@ let detect_disjunct_online ?options ~seed comp index lits =
             | Some group -> List.for_all (fun l -> l.lit_holds state) group)
       in
       let spec = Spec.make derived procs in
-      (* Each disjunct is its own WCP over its own reflagged
-         computation, so [options.slice] slices once per disjunct. *)
       let r = Token_vc.detect ?options ~seed derived spec in
       let first_cut =
         match r.Detection.outcome with

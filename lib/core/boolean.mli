@@ -88,5 +88,4 @@ val detect_online :
     by the test suite); exists to demonstrate that the §2 reduction
     really does hand arbitrary boolean predicates to the paper's
     distributed algorithms unchanged. [options] as in
-    {!Token_vc.detect}; [options.slice] slices once per disjunct (each
-    disjunct is a distinct reflagging, hence a distinct slice). *)
+    {!Token_vc.detect}. *)

@@ -1,15 +1,9 @@
 open Wcp_trace
 open Wcp_sim
 
-let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
+let detect ?network ?recorder ?(options = Detection.default_options) ~seed
     comp spec =
-  if options.Detection.slice then
-    Run_common.with_slice ?recorder ~keep_rest:false comp spec ~run:(fun sliced spec' ->
-        detect ?network ?recorder
-          ~options:{ options with Detection.slice = false }
-          ~seed sliced spec')
-  else
-  let { Detection.gated; delta; slice = _ } = options in
+  let { Detection.gated; delta } = options in
   let n = Computation.n comp in
   let width = Spec.width spec in
   let engine = Run_common.make_engine ?network ?recorder ~seed comp in
@@ -19,12 +13,7 @@ let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
   let checker = Run_common.extra_id ~n in
   let outcome = ref None in
   let snapshots_seen = ref 0 in
-  let announce ctx o =
-    if !outcome = None then begin
-      outcome := Some o;
-      Engine.stop ctx
-    end
-  in
+  let announce = Run_common.announce ~outcome in
   let queues = Array.init width (fun _ -> Queue.create ()) in
   (* One decode cache per inbound (spec process -> checker) channel. *)
   let decoders = Array.init width (fun _ -> Wire.snap_decoder ~width) in

@@ -23,6 +23,5 @@ val detect :
 (** [recorder] (default none) records snapshot arrivals and every
     happened-before elimination with both candidates' vector clocks;
     see {!Wcp_sim.Engine.create}. [options] as in {!Token_vc.detect}:
-    wire encoding ([delta]), interval gating ([gated]) and computation
-    slicing ([slice]); detection behaviour identical under every
-    setting. *)
+    wire encoding ([delta]) and interval gating ([gated]); detection
+    behaviour identical under every setting. *)

@@ -3,22 +3,7 @@ open Wcp_sim
 
 type candidate = { state : int; clock : int array; counts : int array }
 
-let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
-    ~channels comp spec =
-  if options.Detection.slice then begin
-    (* Channel predicates count in-flight messages; a slice replaces
-       real messages with skeleton edges, so send/receive counts are
-       not slice-invariant. Only the pure-WCP instance may be sliced. *)
-    if channels <> [] then
-      invalid_arg
-        "Checker_gcp.detect: channel counts are not slice-invariant (use \
-         slice only with ~channels:[])";
-    Run_common.with_slice ?recorder ~keep_rest:true comp spec ~run:(fun sliced spec' ->
-        detect ?network ?recorder
-          ~options:{ options with Detection.slice = false }
-          ~seed ~channels sliced spec')
-  end
-  else
+let detect ?network ?recorder ~seed ~channels comp spec =
   let n = Computation.n comp in
   let holds =
     List.map
@@ -47,12 +32,7 @@ let rec detect ?network ?recorder ?(options = Detection.default_options) ~seed
   let checker = Run_common.extra_id ~n in
   let outcome = ref None in
   let snapshots_seen = ref 0 in
-  let announce ctx o =
-    if !outcome = None then begin
-      outcome := Some o;
-      Engine.stop ctx
-    end
-  in
+  let announce = Run_common.announce ~outcome in
   let queues : candidate Queue.t array = Array.init n (fun _ -> Queue.create ()) in
   let finished = Array.make n false in
   let cand : candidate option array = Array.make n None in

@@ -22,16 +22,15 @@ open Wcp_sim
 val detect :
   ?network:Network.t ->
   ?recorder:Wcp_obs.Recorder.t ->
-  ?options:Detection.options ->
   seed:int64 ->
   channels:Gcp.channel_predicate list ->
   Computation.t ->
   Spec.t ->
   Detection.result
-(** [options] as in {!Token_vc.detect}, with one restriction:
-    [options.slice] requires [channels = []] — channel predicates count
-    in-flight application messages, which a slice's synthetic skeleton
-    does not preserve.
+(** With [channels = []] this is a WCP detector whose cut spans all
+    [N] processes, and it may run on a computation slice
+    ([Run_common.with_slice ~keep_rest:true]). With channel predicates
+    it may not: they count in-flight application messages, which a
+    slice's synthetic skeleton does not preserve.
     @raise Invalid_argument if a channel predicate is not count-based
-    ({!Gcp.count_based}) or names an unknown process, or if
-    [options.slice] is set with a non-empty [channels]. *)
+    ({!Gcp.count_based}) or names an unknown process. *)

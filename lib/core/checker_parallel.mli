@@ -32,10 +32,8 @@ val detect :
   Spec.t ->
   Detection.result
 (** [domains] defaults to {!Wcp_util.Parallel.default_domains} and is
-    clamped to the spec width; [d < 1] is an [Invalid_argument]. All
-    of {!Detection.options} compose: [slice] restricts to the slice
-    first (cut remapped back like every other detector), [gated] and
-    [delta] select the snapshot encoding. [seed] is ignored — the
+    clamped to the spec width; [d < 1] is an [Invalid_argument].
+    [options.gated] and [options.delta] select the snapshot encoding. [seed] is ignored — the
     algorithm is deterministic — and exists only so all six detectors
     share a call shape. When a [recorder] is attached the run emits
     [Run_meta], per-elimination [Hb_eliminated], per-round

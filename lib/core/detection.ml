@@ -6,12 +6,11 @@ type outcome =
   | No_detection
   | Undetectable_crashed of int list
 
-type options = { gated : bool; delta : bool; slice : bool }
+type options = { gated : bool; delta : bool }
 
-let default_options = { gated = true; delta = true; slice = false }
+let default_options = { gated = true; delta = true }
 
-let options ?(gated = true) ?(delta = true) ?(slice = false) () =
-  { gated; delta; slice }
+let options ?(gated = true) ?(delta = true) () = { gated; delta }
 
 type extras = { token_hops : int; polls : int; snapshots : int; merges : int }
 

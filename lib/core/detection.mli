@@ -26,18 +26,17 @@ type options = {
           message interval (sound, see {!Snapshot.vc_stream}) *)
   delta : bool;
       (** delta/packed wire encoding and accounting (DESIGN.md §9) *)
-  slice : bool;
-      (** run the detector on the computation slice (DESIGN.md §10)
-          and map the detected cut back to dense coordinates *)
 }
 (** Per-run knobs shared by every detector entry point. Declared once
     here so the flags cannot drift between algorithms (they used to be
-    re-threaded through each [detect] signature separately). *)
+    re-threaded through each [detect] signature separately). Slicing
+    is not a detector knob: a dense run is sliced in one place,
+    [Algo.run ~slice] (DESIGN.md §10). *)
 
 val default_options : options
-(** [{ gated = true; delta = true; slice = false }]. *)
+(** [{ gated = true; delta = true }]. *)
 
-val options : ?gated:bool -> ?delta:bool -> ?slice:bool -> unit -> options
+val options : ?gated:bool -> ?delta:bool -> unit -> options
 (** {!default_options} with individual fields overridden. *)
 
 type extras = {

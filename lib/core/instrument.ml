@@ -26,7 +26,7 @@ type t = {
 
 let create ?(options = Detection.default_options) ~mode ~n_app ~wcp_procs
     ~proc () =
-  let { Detection.gated; delta; slice = _ } = options in
+  let { Detection.gated; delta } = options in
   if proc < 0 || proc >= n_app then invalid_arg "Instrument.create: bad proc";
   let width = Array.length wcp_procs in
   if width = 0 then invalid_arg "Instrument.create: empty WCP";

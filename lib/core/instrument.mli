@@ -49,9 +49,8 @@ val create :
     distinct ids of the processes carrying local predicates.
 
     [options] (default {!Detection.default_options}) carries the same
-    shared knobs as the [detect] entry points; [options.slice] is
-    ignored here (live slicing is the monitor side's business, via
-    {!Wcp_slice.Slice.Incremental}).
+    shared knobs as the [detect] entry points (live slicing is the
+    monitor side's business, via {!Wcp_slice.Slice.Incremental}).
 
     [options.gated] enables interval gating: a snapshot is shipped
     only when the process has performed a send since the last shipped

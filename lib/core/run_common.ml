@@ -31,8 +31,6 @@ let emit_run_meta engine ~algo ~n ~width =
       Wcp_obs.Recorder.emit r ~time:0.0 ~proc:(-1)
         (Wcp_obs.Event.Phase_marked { name = "build" })
 
-type announce = Detection.outcome -> unit
-
 type net = {
   send : Messages.t Engine.ctx -> bits:int -> dst:int -> Messages.t -> unit;
   set_handler :
@@ -44,24 +42,6 @@ let raw_net engine =
     send = (fun ctx ~bits ~dst msg -> Engine.send ctx ~bits ~dst msg);
     set_handler = (fun id h -> Engine.set_handler engine id h);
   }
-
-let reliable_net_transport ?rto ?backoff ?max_retries ?max_unacked ?recovery
-    ?on_unreachable engine =
-  let transport =
-    Transport.create ?rto ?backoff ?max_retries ?max_unacked ?recovery
-      ~inject:(fun frame -> Messages.Frame frame)
-      ~project:(function Messages.Frame f -> Some f | _ -> None)
-      ?on_unreachable engine
-  in
-  ( {
-      send =
-        (fun ctx ~bits ~dst msg -> Transport.send transport ctx ~bits ~dst msg);
-      set_handler = (fun id h -> Transport.wire transport id h);
-    },
-    transport )
-
-let reliable_net ?rto ?backoff ?max_retries ?on_unreachable engine =
-  fst (reliable_net_transport ?rto ?backoff ?max_retries ?on_unreachable engine)
 
 (* --- Crash-recovery wiring (Fault.Restart windows) ---------------- *)
 
@@ -145,6 +125,126 @@ let wire_recovery engine (r : recovery) ~owns ~capture ~restore =
       Hashtbl.replace counts proc k;
       if k mod r.every = 0 then snap ~ctx proc
     end
+
+(* Install [handler] for every monitor cell and, under a recovery
+   bundle, capture after each handled message. The returned hook
+   captures on demand (a no-op without recovery): a detector that
+   injects its initial token outside any handler must checkpoint it
+   too, or a restart before the token's first real hop restores a
+   token-less seed and the token is lost with the crash. *)
+let wire_monitors engine net ?recovery cells ~id ~handler ~capture ~restore =
+  match recovery with
+  | None ->
+      Array.iter (fun m -> net.set_handler (id m) (handler m)) cells;
+      fun _ _ -> ()
+  | Some r ->
+      let cell_of = Hashtbl.create 8 in
+      Array.iter (fun m -> Hashtbl.replace cell_of (id m) m) cells;
+      let cap =
+        wire_recovery engine r ~owns:(Hashtbl.mem cell_of)
+          ~capture:(fun proc -> capture ~proc (Hashtbl.find cell_of proc))
+          ~restore:(fun ctx (c : Checkpoint.t) ->
+            restore ctx (Hashtbl.find cell_of c.Checkpoint.proc) c)
+      in
+      Array.iter
+        (fun m ->
+          let i = id m in
+          net.set_handler i (fun ctx ~src msg ->
+              handler m ctx ~src msg;
+              cap i ctx))
+        cells;
+      cap
+
+(* --- Fault wiring --------------------------------------------------- *)
+
+let announce ~outcome ?(stop = true) ctx o =
+  if Option.is_none !outcome then begin
+    outcome := Some o;
+    if stop then Engine.stop ctx
+  end
+
+type wiring = {
+  net : net option;
+  watchdog : (unit -> Watchdog.t) option;
+  recovery : recovery option;
+}
+
+let chaos_wiring engine ~fault ~outcome ~ckpt_every =
+  if ckpt_every < 1 then invalid_arg "detect: ckpt_every must be >= 1";
+  match fault with
+  | Some f when not (Fault.is_none f) ->
+      (* Under a plan with [Fault.Restart] windows the transport must
+         retain acked frames for replay and the watchdogs probe for
+         monitor liveness; every other plan keeps its exact
+         pre-recovery schedule. *)
+      let restarts = Fault.has_restarts f in
+      let on_unreachable ctx ~dst =
+        announce ~outcome ctx (Detection.Undetectable_crashed [ dst ])
+      in
+      let transport =
+        Transport.create ~recovery:restarts
+          ~inject:(fun frame -> Messages.Frame frame)
+          ~project:(function Messages.Frame f -> Some f | _ -> None)
+          ~on_unreachable engine
+      in
+      {
+        net =
+          Some
+            {
+              send =
+                (fun ctx ~bits ~dst msg ->
+                  Transport.send transport ctx ~bits ~dst msg);
+              set_handler = (fun id h -> Transport.wire transport id h);
+            };
+        watchdog = Some (fun () -> Watchdog.create ~reprobe:restarts ());
+        recovery =
+          (if restarts then
+             Some { transport; restarts = Fault.restarts f; every = ckpt_every }
+           else None);
+      }
+  | _ -> { net = None; watchdog = None; recovery = None }
+
+(* --- Watchdog leases ------------------------------------------------ *)
+
+(* A resend puts the originally encoded bytes back on the wire, so it
+   re-charges [bits] rather than re-running a (stateful) encoder; the
+   payload is copied because the receiver mutates a token's arrays. *)
+let resend net ~bits ~dst payload ctx =
+  net.send ctx ~bits ~dst (Messages.deep_copy payload)
+
+let watch net wd ctx ~seq ~dst ~bits payload =
+  Watchdog.watch wd ctx ~token:(payload, bits) ~seq ~dst
+    ~resend:(resend net ~bits ~dst payload)
+    ()
+
+let lease wd ~proc =
+  match wd with
+  | Some wd when Watchdog.seq wd > 0 && Watchdog.owner wd = proc -> (
+      match Watchdog.token wd with
+      | Some (payload, w_bits) ->
+          Some
+            {
+              Checkpoint.w_seq = Watchdog.seq wd;
+              w_dst = Watchdog.dst wd;
+              w_probes = Watchdog.probes wd;
+              w_bits;
+              w_payload = payload;
+            }
+      | None -> None)
+  | _ -> None
+
+let restore_lease net wd ctx (w : Checkpoint.wd_state option) =
+  match (wd, w) with
+  | Some wd, Some w when w.Checkpoint.w_seq >= Watchdog.seq wd ->
+      (* Latest watch wins: a live watch with a newer hop means another
+         monitor took over after this checkpoint. *)
+      let bits = w.Checkpoint.w_bits and dst = w.Checkpoint.w_dst in
+      let payload = w.Checkpoint.w_payload in
+      Watchdog.restore wd ctx ~token:(payload, bits) ~seq:w.Checkpoint.w_seq
+        ~dst ~probes:w.Checkpoint.w_probes
+        ~resend:(resend net ~bits ~dst payload)
+        ()
+  | _ -> ()
 
 let finish ?fault engine ~outcome ~extras =
   (match Engine.recorder engine with

@@ -45,10 +45,6 @@ val emit_run_meta :
     profile — if the engine has a recorder (no-op otherwise). Every
     detector calls this once before wiring. *)
 
-type announce = Detection.outcome -> unit
-(** Callback a monitor invokes exactly once to report the result and
-    halt the simulation. *)
-
 type net = {
   send : Messages.t Engine.ctx -> bits:int -> dst:int -> Messages.t -> unit;
   set_handler :
@@ -62,34 +58,6 @@ val raw_net : Messages.t Engine.t -> net
 (** Plain {!Engine.send} / {!Engine.set_handler}; byte-for-byte the
     pre-robustness behaviour, used whenever no fault plan is active. *)
 
-val reliable_net :
-  ?rto:float ->
-  ?backoff:float ->
-  ?max_retries:int ->
-  ?on_unreachable:(Messages.t Engine.ctx -> dst:int -> unit) ->
-  Messages.t Engine.t ->
-  net
-(** All traffic rides one {!Wcp_sim.Transport} instance whose frames
-    are embedded as {!Messages.Frame}: exactly-once FIFO delivery per
-    link over a faulty network. [on_unreachable] fires when some flow
-    exhausts its retries (a permanently crashed peer) — detectors use
-    it to announce {!Detection.Undetectable_crashed}. *)
-
-val reliable_net_transport :
-  ?rto:float ->
-  ?backoff:float ->
-  ?max_retries:int ->
-  ?max_unacked:int ->
-  ?recovery:bool ->
-  ?on_unreachable:(Messages.t Engine.ctx -> dst:int -> unit) ->
-  Messages.t Engine.t ->
-  net * Messages.t Wcp_sim.Transport.t
-(** {!reliable_net}, but also hands back the transport itself so the
-    crash-recovery layer can checkpoint flow state
-    ({!Wcp_sim.Transport.export_state}) and drive the reconnect
-    handshake after a [Fault.Restart]. [recovery] and [max_unacked] are
-    passed through to {!Wcp_sim.Transport.create}. *)
-
 (** {2 Crash-recovery wiring} *)
 
 type recovery = {
@@ -99,26 +67,101 @@ type recovery = {
   every : int;  (** capture after every [every]-th handled message *)
 }
 
-val wire_recovery :
+val wire_monitors :
   Messages.t Engine.t ->
-  recovery ->
-  owns:(int -> bool) ->
-  capture:(int -> Checkpoint.algo * Checkpoint.wd_state option) ->
-  restore:(Messages.t Engine.ctx -> Checkpoint.t -> unit) ->
+  net ->
+  ?recovery:recovery ->
+  'm array ->
+  id:('m -> int) ->
+  handler:('m -> Messages.t Engine.ctx -> src:int -> Messages.t -> unit) ->
+  capture:(proc:int -> 'm -> Checkpoint.algo * Checkpoint.wd_state option) ->
+  restore:(Messages.t Engine.ctx -> 'm -> Checkpoint.t -> unit) ->
   (int -> Messages.t Engine.ctx -> unit)
-(** Wire checkpoint capture and deterministic restore for every
-    [Restart] window whose proc satisfies [owns] (the detector's own
-    monitor ids): seed an initial checkpoint per restarting proc,
-    schedule a restore timer at each window's [until_t] (decode the
-    stored checkpoint, hand it to [restore] for the algorithm and
-    watchdog state, rebuild the transport flows, then run the
-    {!Wcp_sim.Transport.reconnect} handshake), and return the
-    capture hook the detector must call after {e every} handled
-    monitor message — it encodes a fresh checkpoint every
-    [every]-th message for restarting procs and no-ops for others.
-    Checkpoints cross the capture/restore boundary only as encoded
-    strings, so the codec itself is on the recovery path.
-    @raise Invalid_argument if [every < 1]. *)
+(** Install [handler] on [net] for every monitor cell (engine id
+    [id m]). Under [recovery], also wire checkpoint capture and
+    deterministic restore for every [Restart] window aimed at one of
+    these ids: seed an initial checkpoint per restarting monitor,
+    capture after {e every} handled message (encoding a fresh
+    checkpoint every [recovery.every]-th one), and at each window's
+    [until_t] decode the stored checkpoint, hand it to [restore] for
+    the algorithm and watchdog state, rebuild the transport flows and
+    run the {!Wcp_sim.Transport.reconnect} handshake. Checkpoints
+    cross the capture/restore boundary only as encoded strings, so
+    the codec itself is on the recovery path.
+
+    Returns the capture hook, for state changes that happen outside a
+    handler (the injected initial token); it no-ops without
+    [recovery] and for monitors that never restart.
+    @raise Invalid_argument if [recovery.every < 1]. *)
+
+(** {2 Fault wiring} *)
+
+type wiring = {
+  net : net option;  (** [None]: the raw engine ({!raw_net}) *)
+  watchdog : (unit -> Watchdog.t) option;
+      (** makes one token-loss watchdog; a detector calls it once per
+          watchdog it needs (one shared, or one per monitor) *)
+  recovery : recovery option;
+}
+
+val chaos_wiring :
+  Messages.t Engine.t ->
+  fault:Fault.plan option ->
+  outcome:Detection.outcome option ref ->
+  ckpt_every:int ->
+  wiring
+(** The fault-mode wiring shared by the token detectors. No plan (or
+    {!Fault.none}) → everything [None], the exact fault-free
+    schedule. Otherwise all protocol traffic rides one
+    {!Wcp_sim.Transport} (frames embedded as {!Messages.Frame}:
+    exactly-once FIFO per link over the faulty network) whose
+    unreachable-peer callback records [Undetectable_crashed] in
+    [outcome] (first crash wins) and halts the engine, plus a
+    watchdog maker. A plan with [Fault.Restart] windows additionally
+    gets a recovery-mode transport (acked frames retained for
+    replay), monitor-liveness ([~reprobe:true]) watchdogs and the
+    {!recovery} bundle capturing every [ckpt_every]-th message.
+    @raise Invalid_argument if [ckpt_every < 1]. *)
+
+(** {2 Watchdog leases} *)
+
+val watch :
+  net ->
+  Watchdog.t ->
+  Messages.t Engine.ctx ->
+  seq:int ->
+  dst:int ->
+  bits:int ->
+  Messages.t ->
+  unit
+(** Guard token hop [seq] to [dst]. The payload must be the caller's
+    private copy; every regeneration re-sends a fresh
+    {!Messages.deep_copy} of it charged the originally metered [bits]
+    (same bytes on the wire). *)
+
+val lease : Watchdog.t option -> proc:int -> Checkpoint.wd_state option
+(** The armed lease of a watchdog, for monitor [proc]'s checkpoint:
+    [Some] only while it watches a hop that [proc] forwarded. *)
+
+val restore_lease :
+  net ->
+  Watchdog.t option ->
+  Messages.t Engine.ctx ->
+  Checkpoint.wd_state option ->
+  unit
+(** Re-arm a checkpointed lease (resend rebuilt as in {!watch}),
+    unless the watchdog already watches a newer hop — another monitor
+    forwarded the token after the checkpoint. *)
+
+val announce :
+  outcome:Detection.outcome option ref ->
+  ?stop:bool ->
+  Messages.t Engine.ctx ->
+  Detection.outcome ->
+  unit
+(** Record the run's result, first announcement wins, and halt the
+    engine unless [stop] is [false] (live monitors let the application
+    run to completion). *)
 
 val finish :
   ?fault:Fault.plan ->
@@ -146,8 +189,8 @@ val on_slice :
     slicing happens before any engine exists), call [build] for the
     slice, run the detector on it with the spec [procs], and remap the
     detected cut back to dense coordinates. This is the one
-    slice-then-detect path: the [--slice] option of every detector
-    ({!with_slice}), [detect --stream] (a {!Wcp_slice.Slice.for_spec_source}
+    slice-then-detect path: [Algo.run ~slice] ({!with_slice}),
+    [detect --stream] (a {!Wcp_slice.Slice.for_spec_source}
     thunk over an mmap'd btrace, so the dense run is never
     materialised) and the streaming service (the finished
     {!Wcp_slice.Slice.Incremental} builder) all go through it, so their
@@ -161,7 +204,7 @@ val with_slice :
   run:(Computation.t -> Spec.t -> Detection.result) ->
   Detection.result
 (** {!on_slice} over {!Wcp_slice.Slice.for_spec} of a dense
-    computation. Every [detect ?options] entry point with
-    [options.slice = true] is this wrapper around its dense self;
-    [keep_rest] is [true] for the algorithms whose cuts span all [N]
-    processes (direct dependence, GCP). *)
+    computation: [run] is a dense detector, called once on the slice.
+    [Algo.run ~slice] is this wrapper with [keep_rest] set by
+    [Algo.full_width]; [keep_rest] must be [true] for a detector whose
+    cuts span all [N] processes (direct dependence, GCP). *)

@@ -42,12 +42,7 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
   if start_at < 0 || start_at >= n then
     invalid_arg "Token_dd.install: start_at out of range";
   let snapshots_seen = snapshots in
-  let announce ctx o =
-    if Option.is_none !outcome then begin
-      outcome := Some o;
-      if stop then Engine.stop ctx
-    end
-  in
+  let announce = Run_common.announce ~outcome ~stop in
   let bits = Messages.bits ~spec_width:1 in
   let monitor_id p = Run_common.monitor_of ~n p in
   let monitors =
@@ -185,16 +180,13 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
                  { seq; dst = monitor_id j; g = [| m.g |] }));
         let msg = Messages.Dd_token { seq } in
         net.Run_common.send ctx ~bits:(bits msg) ~dst:(monitor_id j) msg;
-        (match watchdog with
+        (* [Messages.deep_copy] is the identity on a [Dd_token]: its
+           regenerations re-send this very message. *)
+        match watchdog with
         | None -> ()
         | Some wd ->
-            Watchdog.watch wd ctx
-              ~token:(msg, bits msg)
-              ~seq ~dst:(monitor_id j)
-              ~resend:(fun ctx ->
-                net.Run_common.send ctx ~bits:(bits msg) ~dst:(monitor_id j)
-                  msg)
-              ())
+            Run_common.watch net wd ctx ~seq ~dst:(monitor_id j)
+              ~bits:(bits msg) msg
   in
   let on_message m ctx ~src msg =
     match msg with
@@ -291,92 +283,44 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
   in
   (* Crash recovery: see Token_vc — same capture-after-each-message /
      restore-at-window-end scheme, over the §4 monitor state. *)
-  let maybe_capture =
-    match recovery with
-    | None -> None
-    | Some r ->
-        let cell_of : (int, mon) Hashtbl.t = Hashtbl.create 8 in
-        Array.iter
-          (fun m -> Hashtbl.replace cell_of (monitor_id m.proc) m)
-          monitors;
-        let capture proc =
-          let m = Hashtbl.find cell_of proc in
-          let algo =
-            Checkpoint.Dd
-              {
-                Checkpoint.d_queue = List.of_seq (Queue.to_seq m.queue);
-                d_app_done = m.app_done;
-                d_color = m.color;
-                d_g = m.g;
-                d_next_red = m.next_red;
-                d_has_token = m.has_token;
-                d_tentative = m.tentative;
-                d_deps = m.deps_pending;
-                d_polling = m.polling;
-                d_last_seq = m.last_token_seq;
-              }
-          in
-          let wd_state =
-            match watchdog with
-            | Some wd when Watchdog.seq wd > 0 && Watchdog.owner wd = proc -> (
-                match Watchdog.token wd with
-                | Some (payload, w_bits) ->
-                    Some
-                      {
-                        Checkpoint.w_seq = Watchdog.seq wd;
-                        w_dst = Watchdog.dst wd;
-                        w_probes = Watchdog.probes wd;
-                        w_bits;
-                        w_payload = payload;
-                      }
-                | None -> None)
-            | _ -> None
-          in
-          (algo, wd_state)
-        in
-        let restore ctx (c : Checkpoint.t) =
-          let m = Hashtbl.find cell_of c.Checkpoint.proc in
-          (match c.Checkpoint.algo with
-          | Checkpoint.Dd s ->
-              Queue.clear m.queue;
-              List.iter (fun x -> Queue.add x m.queue) s.Checkpoint.d_queue;
-              m.queue_words <-
-                Queue.fold (fun acc x -> acc + snapshot_words x) 0 m.queue;
-              m.app_done <- s.Checkpoint.d_app_done;
-              m.color <- s.Checkpoint.d_color;
-              m.g <- s.Checkpoint.d_g;
-              m.next_red <- s.Checkpoint.d_next_red;
-              m.has_token <- s.Checkpoint.d_has_token;
-              m.tentative <- s.Checkpoint.d_tentative;
-              m.deps_pending <- s.Checkpoint.d_deps;
-              m.polling <- s.Checkpoint.d_polling;
-              m.last_token_seq <- s.Checkpoint.d_last_seq
-          | _ -> failwith "Token_dd: checkpoint algorithm mismatch");
-          match (watchdog, c.Checkpoint.watchdog) with
-          | Some wd, Some w when w.Checkpoint.w_seq >= Watchdog.seq wd ->
-              let dst = w.Checkpoint.w_dst and bits = w.Checkpoint.w_bits in
-              let payload = w.Checkpoint.w_payload in
-              Watchdog.restore wd ctx ~token:(payload, bits)
-                ~seq:w.Checkpoint.w_seq ~dst ~probes:w.Checkpoint.w_probes
-                ~resend:(fun ctx -> net.Run_common.send ctx ~bits ~dst payload)
-                ()
-          | _ -> ()
-        in
-        Some
-          (Run_common.wire_recovery engine r
-             ~owns:(Hashtbl.mem cell_of)
-             ~capture ~restore)
+  let capture =
+    Run_common.wire_monitors engine net ?recovery monitors
+      ~id:(fun m -> monitor_id m.proc)
+      ~handler:on_message
+      ~capture:(fun ~proc m ->
+        ( Checkpoint.Dd
+            {
+              Checkpoint.d_queue = List.of_seq (Queue.to_seq m.queue);
+              d_app_done = m.app_done;
+              d_color = m.color;
+              d_g = m.g;
+              d_next_red = m.next_red;
+              d_has_token = m.has_token;
+              d_tentative = m.tentative;
+              d_deps = m.deps_pending;
+              d_polling = m.polling;
+              d_last_seq = m.last_token_seq;
+            },
+          Run_common.lease watchdog ~proc ))
+      ~restore:(fun ctx m c ->
+        (match c.Checkpoint.algo with
+        | Checkpoint.Dd s ->
+            Queue.clear m.queue;
+            List.iter (fun x -> Queue.add x m.queue) s.Checkpoint.d_queue;
+            m.queue_words <-
+              Queue.fold (fun acc x -> acc + snapshot_words x) 0 m.queue;
+            m.app_done <- s.Checkpoint.d_app_done;
+            m.color <- s.Checkpoint.d_color;
+            m.g <- s.Checkpoint.d_g;
+            m.next_red <- s.Checkpoint.d_next_red;
+            m.has_token <- s.Checkpoint.d_has_token;
+            m.tentative <- s.Checkpoint.d_tentative;
+            m.deps_pending <- s.Checkpoint.d_deps;
+            m.polling <- s.Checkpoint.d_polling;
+            m.last_token_seq <- s.Checkpoint.d_last_seq
+        | _ -> failwith "Token_dd: checkpoint algorithm mismatch");
+        Run_common.restore_lease net watchdog ctx c.Checkpoint.watchdog)
   in
-  Array.iter
-    (fun m ->
-      let id = monitor_id m.proc in
-      match maybe_capture with
-      | None -> net.Run_common.set_handler id (on_message m)
-      | Some cap ->
-          net.Run_common.set_handler id (fun ctx ~src msg ->
-              on_message m ctx ~src msg;
-              cap id ctx))
-    monitors;
   {
     start_id = monitor_id start_at;
     start_token =
@@ -386,9 +330,7 @@ let install engine ~n_app ~parallel ?net ?watchdog ?check ?recovery
         drive ctx monitors.(start_at);
         (* Checkpoint the injected token (see Token_vc.install): a
            restart must not restore a token-less seed. *)
-        match maybe_capture with
-        | None -> ()
-        | Some cap -> cap (monitor_id start_at) ctx);
+        capture (monitor_id start_at) ctx);
   }
 
 let start engine monitors =
@@ -460,21 +402,11 @@ let check_invariants comp ~g ~color ~next_red ~next =
         (Printf.sprintf "Lemma 4.2(3) violated: red monitor %d off the chain" i)
   done
 
-let rec detect ?network ?fault ?recorder ?(parallel = false)
+let detect ?network ?fault ?recorder ?(parallel = false)
     ?(invariant_checks = false) ?start_at ?(ckpt_every = 1)
     ?(options = Detection.default_options) ~seed comp spec =
-  if options.Detection.slice then
-    Run_common.with_slice ?recorder ~keep_rest:true comp spec ~run:(fun sliced spec' ->
-        detect ?network ?fault ?recorder ~parallel ~invariant_checks ?start_at
-          ~ckpt_every
-          ~options:{ options with Detection.slice = false }
-          ~seed sliced spec')
-  else
-  let { Detection.gated; delta; slice = _ } = options in
+  let { Detection.gated; delta } = options in
   let n = Computation.n comp in
-  let fault =
-    match fault with Some p when not (Fault.is_none p) -> Some p | _ -> None
-  in
   let engine = Run_common.make_engine ?network ?fault ?recorder ~seed comp in
   Run_common.emit_run_meta engine
     ~algo:(if parallel then "token-dd-parallel" else "token-dd")
@@ -490,9 +422,10 @@ let rec detect ?network ?fault ?recorder ?(parallel = false)
     if invariant_checks && not parallel then Some (check_invariants comp)
     else None
   in
-  let net, watchdog, recovery =
-    Token_vc.chaos_wiring engine ~fault ~outcome ~ckpt_every
+  let { Run_common.net; watchdog; recovery } =
+    Run_common.chaos_wiring engine ~fault ~outcome ~ckpt_every
   in
+  let watchdog = Option.map (fun make -> make ()) watchdog in
   let monitors =
     install engine ~n_app:n ~parallel ?net ?watchdog ?check ?recovery ?start_at
       ~delta ~outcome ~hops ~polls ~snapshots ()

@@ -68,8 +68,9 @@ val install :
     (the WCP's identity is immaterial to the monitors: they only see
     snapshot streams, which is why live monitoring needs no recorded
     computation). The engine must follow the {!Run_common} id layout.
-    The detected cut spans all [n_app] processes. [stop], [net],
-    [watchdog] and [recovery] as in {!Token_vc.install}. [delta] (default [true])
+    The detected cut spans all [n_app] processes. [stop], [net] and
+    [recovery] as in {!Token_vc.install}; the one [watchdog] is handed
+    from monitor to monitor with the token. [delta] (default [true])
     charges each §4 poll its packed one-word size ({!Wire.poll_bits})
     instead of the dense two words; the monitors decode both dd
     snapshot forms either way. *)
@@ -101,9 +102,9 @@ val detect :
     [options] as in {!Token_vc.detect}; for this algorithm [delta]
     packs §4.1 snapshot dependences ({!Wire.encode_dd}) and prices
     polls at their packed size ({!Wire.poll_bits}) — red-chain
-    prefetch/poll traffic included ([~parallel:true], experiment E8) —
-    and [slice] keeps {e every} state of non-spec processes (the cut
-    spans all [N]).
+    prefetch/poll traffic included ([~parallel:true], experiment E8).
+    Its slice ([Algo.run ~slice:true]) keeps {e every} state of
+    non-spec processes, since the cut spans all [N].
     [invariant_checks] re-validates Lemma 4.2(1-3) against the recorded
     computation at every commit point (sequential mode only; the
     statements quantify over quiescent protocol states, which

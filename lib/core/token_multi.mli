@@ -10,6 +10,10 @@
     declares detection (all green) or re-dispatches a token into every
     group that still has a red member.
 
+    The group monitors are {!Token_vc.install}'s Fig. 3 monitors with
+    a group-confined forwarding rule; this module adds only the group
+    assignment and the leader.
+
     With [groups = 1] this degenerates to the single-token algorithm
     plus one leader round-trip. The point of the variant is wall-clock
     (simulated-time) parallelism, measured by experiment E3; totals for
@@ -41,6 +45,6 @@ val detect :
     [Undetectable_crashed] degradation, and checkpointed crash recovery
     for the group monitors under [Fault.Restart] windows (the leader is
     not restartable). [options] as in {!Token_vc.detect}: wire encoding
-    ([delta]), interval gating ([gated]) and computation slicing
-    ([slice]); detection behaviour identical under every setting.
+    ([delta]) and interval gating ([gated]); detection behaviour
+    identical under every setting.
     @raise Invalid_argument if [groups < 1] or [groups > Spec.width]. *)

@@ -31,12 +31,22 @@ open Wcp_sim
 
 type monitors
 
+type hop
+(** The run's token-hop machinery: one hop counter (the [seq] every
+    token message carries) and one wire meter, shared by every sender
+    of a §3 token — the monitors and, in the multi-token variant, the
+    leader. *)
+
 val install :
   Messages.t Engine.t ->
   n_app:int ->
   wcp_procs:int array ->
   ?net:Run_common.net ->
-  ?watchdog:Watchdog.t ->
+  ?watchdog:(int -> Watchdog.t option) ->
+  ?forward:
+    (hop -> Messages.t Engine.ctx -> int -> int array -> Messages.color array ->
+     unit) ->
+  ?tag:(Checkpoint.vc_mon -> Checkpoint.algo) ->
   ?check:(g:int array -> color:Messages.color array -> unit) ->
   ?recovery:Run_common.recovery ->
   ?stop:bool ->
@@ -49,21 +59,31 @@ val install :
   monitors
 (** Install the Fig. 3 monitor handlers for the WCP over [wcp_procs]
     (sorted, distinct application process ids in [0..n_app)). The
-    engine must follow the {!Run_common} id layout. [check], when
-    given, is invoked with the token contents every time the token
-    finishes processing at a monitor (used to assert Lemma 3.1 against
-    a ground-truth computation). On termination the detecting monitor
-    stores the result in [outcome] and, unless [stop] is [false], halts
-    the engine (live monitors pass [~stop:false] so the application can
-    run to completion).
+    engine must follow the {!Run_common} id layout. This is the one
+    implementation of the §3 monitor; the multi-token variant
+    ({!Token_multi}) installs it with its own forwarding rule.
+
+    A monitor holding the token consumes candidates until its entry
+    turns green, eliminates every entry its candidate causally
+    dominates, calls [check] (when given) with the token contents —
+    used to assert Lemma 3.1 against a ground-truth computation — and
+    then applies [forward hop ctx k g color] ([k] its spec index).
+    The default forwarding rule sends the token ({!Messages.Vc_token})
+    to the first red monitor, or, when none is left, stores the
+    detected cut in [outcome] and, unless [stop] is [false], halts the
+    engine (live monitors pass [~stop:false] so the application can
+    run to completion). The receive side accepts {!Messages.Vc_token}
+    and {!Messages.Group_token} alike.
 
     [net] (default {!Run_common.raw_net}) carries all monitor traffic;
-    pass {!Run_common.reliable_net} when running under a fault plan.
-    [watchdog], when given, guards every token hop against loss (lease
-    probe + regeneration; see {!Watchdog}). [recovery], when given,
-    wires checkpoint capture and deterministic restore for the plan's
-    [Fault.Restart] windows (see {!Run_common.wire_recovery}); its
-    transport must be the one behind [net].
+    pass {!Run_common.chaos_wiring}'s when running under a fault plan.
+    [watchdog k] (default none) guards every hop monitor [k] forwards
+    against loss (lease probe + regeneration; see {!Watchdog}) and
+    receives its probe replies. [recovery], when given, wires
+    checkpoint capture and deterministic restore for the plan's
+    [Fault.Restart] windows (see {!Run_common.wire_monitors}); its
+    transport must be the one behind [net]. [tag] (default
+    [Checkpoint.Vc]) labels the captured monitor state.
 
     [delta] (default [true]) charges each token hop its delta-encoded
     wire size ({!Wire.token_bits}) instead of the dense formula, and
@@ -71,33 +91,31 @@ val install :
     always accept both snapshot forms). Purely a wire-cost matter:
     detection behaviour is identical either way. *)
 
-val chaos_net :
-  Messages.t Engine.t -> outcome:Detection.outcome option ref -> Run_common.net
-(** {!Run_common.reliable_net} whose unreachable-peer callback records
-    [Undetectable_crashed] in [outcome] (first crash wins) and halts
-    the engine. Shared by all token detectors' [?fault] modes. *)
+val hop : monitors -> hop
+(** The installed monitors' hop machinery, for a leader that sends
+    tokens of its own. *)
 
-val chaos_net_transport :
-  Messages.t Engine.t ->
-  outcome:Detection.outcome option ref ->
-  Run_common.net * Messages.t Wcp_sim.Transport.t
-(** {!chaos_net} in recovery mode (acked frames retained for replay),
-    also exposing the transport for checkpointing. Used by the token
-    detectors whenever the fault plan has [Fault.Restart] windows. *)
+val send_token :
+  hop ->
+  Messages.t Engine.ctx ->
+  ?wd:Watchdog.t ->
+  dst:int ->
+  (int -> Messages.t) ->
+  int array ->
+  unit
+(** [send_token hop ctx ~dst msg_of_seq g]: take the next hop number
+    [seq], trace the hop, send [msg_of_seq seq] (a token carrying cut
+    [g]) to engine process [dst] at its metered wire size, and, when
+    [wd] is given, arm it on a private copy of the token. *)
 
-val chaos_wiring :
-  Messages.t Engine.t ->
-  fault:Fault.plan option ->
-  outcome:Detection.outcome option ref ->
-  ckpt_every:int ->
-  Run_common.net option * Watchdog.t option * Run_common.recovery option
-(** The full fault-mode wiring decision shared by the token detectors:
-    no plan → all [None]; a plan without restarts → {!chaos_net} and a
-    plain watchdog; a plan with [Fault.Restart] windows →
-    {!chaos_net_transport}, a monitor-liveness ([~reprobe:true])
-    watchdog, and the {!Run_common.recovery} bundle capturing every
-    [ckpt_every]-th message.
-    @raise Invalid_argument if [ckpt_every < 1]. *)
+val send_return :
+  hop -> Messages.t Engine.ctx -> dst:int -> (int -> Messages.t) -> int array ->
+  unit
+(** As {!send_token}, untraced and unwatched: the §3.5 return of a
+    group token to its leader. *)
+
+val first_red : ?among:(int -> bool) -> Messages.color array -> int option
+(** The least red index satisfying [among] (default: any). *)
 
 val start : Messages.t Engine.t -> monitors -> unit
 (** Schedule the initial (all-red, [G = 0]) token at the starting
@@ -149,7 +167,5 @@ val detect :
     changes no message {e counts} and no RNG draws, so outcome,
     detected cut, hops and snapshot counts are identical across both
     settings; only [bits] differs. [options.gated] toggles interval
-    gating of the snapshot streams. [options.slice] first slices the
-    computation ({!Run_common.with_slice}, keeping only spec-process
-    anchors), detects on the slice, and remaps the cut back to dense
-    coordinates — same outcome, fewer events examined (bench E17). *)
+    gating of the snapshot streams. To detect on the computation
+    slice, go through [Algo.run ~slice:true]. *)

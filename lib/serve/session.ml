@@ -71,6 +71,7 @@ let create (cfg : config) =
            Algo.names)
   | Some algo ->
   if cfg.n <= 0 then Error "n must be positive"
+  else if cfg.groups < 1 then Error "groups must be >= 1"
   else if Array.length cfg.pred0 <> cfg.n then Error "pred0 length <> n"
   else if
     Array.length cfg.procs = 0

@@ -35,8 +35,8 @@ type config = {
 type t
 
 val create : config -> (t, string) result
-(** Validates the config (known algorithm, procs within range) and
-    builds the incremental slicer. *)
+(** Validates the config (known algorithm, procs within range, at
+    least one group) and builds the incremental slicer. *)
 
 val id : t -> string
 

@@ -53,6 +53,12 @@ let test_dd_chaos_matches_oracle () =
     (fun ~fault ~seed comp spec -> Token_dd.detect ~fault ~seed comp spec)
     true
 
+let test_dd_par_chaos_matches_oracle () =
+  check_against_oracle "token-dd-par"
+    (fun ~fault ~seed comp spec ->
+      Token_dd.detect ~fault ~parallel:true ~seed comp spec)
+    true
+
 let test_multi_chaos_matches_oracle () =
   check_against_oracle "token-multi"
     (fun ~fault ~seed comp spec ->
@@ -260,6 +266,8 @@ let () =
             test_vc_chaos_matches_oracle;
           Alcotest.test_case "token-dd under drop+dup" `Quick
             test_dd_chaos_matches_oracle;
+          Alcotest.test_case "token-dd-par under drop+dup" `Quick
+            test_dd_par_chaos_matches_oracle;
           Alcotest.test_case "token-multi under drop+dup" `Quick
             test_multi_chaos_matches_oracle;
         ] );

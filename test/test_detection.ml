@@ -247,9 +247,8 @@ let prop_parallel_checker_agrees =
           let outcomes =
             List.map
               (fun domains ->
-                (Checker_parallel.detect
-                   ~options:(Detection.options ~slice ())
-                   ~domains ~seed:7L comp spec)
+                (Algo.run Algo.Parallel ~slice ~domains
+                   ~options:Detection.default_options ~seed:7L comp spec)
                   .Detection.outcome)
               [ 1; 2; 4 ]
           in

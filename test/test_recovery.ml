@@ -232,6 +232,9 @@ let algos =
         (Token_vc.detect ~fault ~seed comp spec : Detection.result) );
     ( "token-dd",
       fun ~fault ~seed comp spec -> Token_dd.detect ~fault ~seed comp spec );
+    ( "token-dd-par",
+      fun ~fault ~seed comp spec ->
+        Token_dd.detect ~fault ~parallel:true ~seed comp spec );
     ( "token-multi",
       fun ~fault ~seed comp spec ->
         Token_multi.detect ~fault ~groups:(min 4 (Spec.width spec)) ~seed comp
@@ -239,9 +242,9 @@ let algos =
   ]
 
 let project name spec (r : Detection.result) =
-  if String.equal name "token-dd" then
-    Detection.project_outcome spec r.Detection.outcome
-  else r.Detection.outcome
+  match Algo.of_string name with
+  | Some a -> Algo.spec_outcome a spec r
+  | None -> r.Detection.outcome
 
 let test_restart_heals_matrix () =
   List.iter
@@ -337,6 +340,35 @@ let test_sparse_checkpoints_heal () =
   Alcotest.check Helpers.outcome "vc heals at k=3" expected
     (Token_vc.detect ~fault ~ckpt_every:3 ~seed:1L comp spec).Detection.outcome
 
+(* A restore from a sparse checkpoint rolls the monitor back past its
+   first candidate, and the transport then replays the token frame it
+   had consumed: the frame's arrays were mutated in place by that
+   first visit, so the token arrives with this monitor's entry already
+   green and the restored monitor holds no candidate. The Fig. 3
+   monitor must forward it unchanged (its eliminations are already in
+   the arrays), not trip over the missing candidate. Both runs below
+   take that path. *)
+let test_green_arrival_after_sparse_restore () =
+  List.iter
+    (fun (params, victim, ckpt_every, seed) ->
+      let comp = Helpers.build_comp params in
+      let n = Computation.n comp in
+      let spec = Spec.all comp in
+      let fault =
+        Fault.uniform ~seed ~drop:0.1
+          ~windows:
+            [
+              Fault.window ~kind:Fault.Restart ~proc:(n + victim) ~from_t:4.0
+                ~until_t:10.0 ();
+            ]
+          ()
+      in
+      Alcotest.check Helpers.outcome
+        (Printf.sprintf "token-vc, k=%d, seed %Ld" ckpt_every seed)
+        (Oracle.first_cut comp spec)
+        (Token_vc.detect ~fault ~ckpt_every ~seed comp spec).Detection.outcome)
+    [ ((4, 3, 72, 50, 1126), 2, 2, 126L); ((7, 5, 78, 50, 1324), 2, 3, 324L) ]
+
 (* ------------------------------------------------------------------ *)
 (* Recovery soak                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -389,7 +421,7 @@ let () =
         ] );
       ( "restart-heals",
         [
-          Alcotest.test_case "matrix: vc/dd/multi, n in {8,16,32}" `Quick
+          Alcotest.test_case "matrix: vc/dd/dd-par/multi, n in {8,16,32}" `Quick
             test_restart_heals_matrix;
           Alcotest.test_case "checkpoint/restore counters live" `Quick
             test_restart_counters;
@@ -401,6 +433,8 @@ let () =
             test_ckpt_every_validation;
           Alcotest.test_case "sparse checkpoints heal" `Quick
             test_sparse_checkpoints_heal;
+          Alcotest.test_case "green arrival after a sparse restore" `Quick
+            test_green_arrival_after_sparse_restore;
         ] );
       ( "soak",
         [ Alcotest.test_case "seeded crash/restart loop" `Quick test_recovery_soak ] );

@@ -244,6 +244,20 @@ let test_busy () =
       Alcotest.(check string) "outcome after the holder left" expect
         (served_outcome "busy" (feed ~addr ~session:"busy" ~algo:"token-vc" comp)))
 
+(* --- a bad hello is refused before any event is streamed ------------ *)
+
+let test_bad_groups () =
+  let comp = random_comp ~n:4 ~m:10 ~p_pred:0.3 ~seed:11L in
+  with_server (fun addr ->
+      match
+        Client.run_session ~groups:0 ~retry:5. ~addr ~session:"g0"
+          ~algo:"multi-token" ~procs:(Array.init 4 Fun.id) ~seed:1L
+          (Computation.Stream.of_computation comp)
+      with
+      | Error m ->
+          Alcotest.(check string) "hello refused" "groups must be >= 1" m
+      | Ok _ -> Alcotest.fail "a zero-group session was accepted")
+
 (* --- hostile client: bytes with no newline ------------------------ *)
 
 (* Write [len] bytes of ['x'] — never a newline — to [fd]. *)
@@ -300,5 +314,7 @@ let () =
           Alcotest.test_case "metrics stream" `Quick test_metrics;
           Alcotest.test_case "line cap" `Quick test_line_cap;
           Alcotest.test_case "busy session" `Quick test_busy;
+          Alcotest.test_case "zero groups refused at hello" `Quick
+            test_bad_groups;
         ] );
     ]

@@ -284,13 +284,12 @@ let test_reduction () =
 
 (* Unlike [test_detectors_agree], which drives [Slice.for_spec] and the
    remap by hand, this sweep goes through the user-facing plumbing:
-   [Detection.options ~slice:true] handed to each detector, whose
-   internal [Run_common.with_slice] must return outcomes already in
-   dense coordinates. Bounded smoke always runs; WCP_SLICE_CHECK=1
-   unlocks the whole corpus (sizes x densities x seeds x full and
-   partial specs). *)
+   [Algo.run ~slice:true] for every registered detector, whose
+   [Run_common.with_slice] must return outcomes already in dense
+   coordinates (and GCP through [with_slice] directly). Bounded smoke
+   always runs; WCP_SLICE_CHECK=1 unlocks the whole corpus (sizes x
+   densities x seeds x full and partial specs). *)
 let corpus_sweep ~sizes ~densities ~seeds =
-  let sliced_opts = Detection.options ~slice:true () in
   List.iter
     (fun (n, m) ->
       List.iter
@@ -321,36 +320,23 @@ let corpus_sweep ~sizes ~densities ~seeds =
                   let agree name dense sliced =
                     Alcotest.check outcome (here name) dense sliced
                   in
-                  agree "token-vc"
-                    (Token_vc.detect ~seed comp spec).Detection.outcome
-                    (Token_vc.detect ~options:sliced_opts ~seed comp spec)
-                      .Detection.outcome;
                   let groups = max 1 (w / 2) in
-                  agree "token-multi"
-                    (Token_multi.detect ~groups ~seed comp spec)
-                      .Detection.outcome
-                    (Token_multi.detect ~options:sliced_opts ~groups ~seed
-                       comp spec)
-                      .Detection.outcome;
-                  agree "checker"
-                    (Checker_centralized.detect ~seed comp spec)
-                      .Detection.outcome
-                    (Checker_centralized.detect ~options:sliced_opts ~seed
-                       comp spec)
-                      .Detection.outcome;
+                  List.iter
+                    (fun a ->
+                      let run slice =
+                        Algo.spec_outcome a spec
+                          (Algo.run a ~groups ~slice
+                             ~options:Detection.default_options ~seed comp spec)
+                      in
+                      agree (Algo.name a) (run false) (run true))
+                    Algo.all;
                   let project = Detection.project_outcome spec in
-                  agree "token-dd"
-                    (project (Token_dd.detect ~seed comp spec).Detection.outcome)
-                    (project
-                       (Token_dd.detect ~options:sliced_opts ~seed comp spec)
-                         .Detection.outcome);
+                  let gcp comp spec = Checker_gcp.detect ~seed ~channels:[] comp spec in
                   agree "checker-gcp"
+                    (project (gcp comp spec).Detection.outcome)
                     (project
-                       (Checker_gcp.detect ~seed ~channels:[] comp spec)
-                         .Detection.outcome)
-                    (project
-                       (Checker_gcp.detect ~options:sliced_opts ~seed
-                          ~channels:[] comp spec)
+                       (Run_common.with_slice ~keep_rest:true comp spec
+                          ~run:gcp)
                          .Detection.outcome))
                 specs)
             seeds)

@@ -140,7 +140,14 @@ let chaos_matrix ~sizes ~drops ~seeds =
                   (Detection.outcome_equal expected
                      (Detection.project_outcome spec
                         (Token_dd.detect ~fault ~seed comp spec).outcome))
-              then fail "dd")
+              then fail "dd";
+              if
+                not
+                  (Detection.outcome_equal expected
+                     (Detection.project_outcome spec
+                        (Token_dd.detect ~fault ~parallel:true ~seed comp spec)
+                          .outcome))
+              then fail "dd-par")
             seeds)
         drops)
     sizes
