@@ -194,13 +194,6 @@ let restart_arg =
         []
     & info [ "restart" ] ~docv:"SPEC" ~doc)
 
-let ckpt_every_arg =
-  let doc =
-    "Checkpoint each restarting monitor after every K-th handled message \
-     (only meaningful with $(b,--restart); 1 = exact state transfer)."
-  in
-  Arg.(value & opt positive_int 1 & info [ "ckpt-every" ] ~docv:"K" ~doc)
-
 let fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed =
   let plan =
     Fault.uniform ~seed:fault_seed ~drop ~dup ~windows:(crashes @ restarts) ()
@@ -476,8 +469,7 @@ let setup_metrics ~recorder ~metrics_out ~metrics_every =
 let needs_detector what =
   die "%s needs a detection algorithm (%s)" what Algo.names
 
-let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
-    ~seed comp spec =
+let run_algo ?fault ?recorder ?(slice = false) algo ~groups ~seed comp spec =
   let detector =
     match algo with Detector a -> Some a | Oracle_a | Cm | Strong_a -> None
   in
@@ -489,7 +481,7 @@ let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
   match algo with
   | Detector a ->
       Some
-        (Algo.run a ?fault ?recorder ~ckpt_every ~groups ~slice
+        (Algo.run a ?fault ?recorder ~groups ~slice
            ~options:Detection.default_options ~seed comp spec)
   | Oracle_a ->
       Format.printf "oracle: %a@." Detection.pp_outcome
@@ -519,8 +511,7 @@ let run_algo ?fault ?recorder ?(slice = false) ?(ckpt_every = 1) algo ~groups
 
 let detect_cmd =
   let run trace algo groups procs seed verbose slice stream drop dup crashes
-      restarts ckpt_every fault_seed trace_out trace_format metrics_out
-      metrics_every =
+      restarts fault_seed trace_out trace_format metrics_out metrics_every =
     let fault = fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed in
     let recorder =
       match trace_out with
@@ -559,8 +550,7 @@ let detect_cmd =
                    (Btrace.source reader) ~procs:procs_arr)
                ~run:(fun sliced spec' ->
                  match
-                   run_algo ?fault ?recorder ~ckpt_every algo ~groups ~seed
-                     sliced spec'
+                   run_algo ?fault ?recorder algo ~groups ~seed sliced spec'
                  with
                  | Some r -> r
                  | None -> assert false))
@@ -571,8 +561,7 @@ let detect_cmd =
       else begin
         let comp = load_trace trace in
         let spec = spec_of comp procs in
-        run_algo ?fault ?recorder ~slice ~ckpt_every algo ~groups ~seed comp
-          spec
+        run_algo ?fault ?recorder ~slice algo ~groups ~seed comp spec
       end
     in
     match result with
@@ -593,8 +582,8 @@ let detect_cmd =
     Term.(
       const (fun () -> run) $ setup_logs $ trace_arg $ algo_arg $ groups_arg
       $ procs_arg $ seed_arg $ verbose_arg $ slice_arg $ stream_arg $ drop_arg
-      $ dup_arg $ crash_arg $ restart_arg $ ckpt_every_arg $ fault_seed_arg
-      $ trace_out_arg $ trace_format_arg $ metrics_out_arg $ metrics_every_arg)
+      $ dup_arg $ crash_arg $ restart_arg $ fault_seed_arg $ trace_out_arg
+      $ trace_format_arg $ metrics_out_arg $ metrics_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -616,7 +605,7 @@ let trace_cmd =
       & info [ "f"; "format" ] ~docv:"FMT" ~doc)
   in
   let run trace algo groups procs seed out format drop dup crashes restarts
-      ckpt_every fault_seed metrics_out metrics_every =
+      fault_seed metrics_out metrics_every =
     let comp = load_trace trace in
     let spec = spec_of comp procs in
     let fault = fault_plan ~drop ~dup ~crashes ~restarts ~fault_seed in
@@ -624,7 +613,7 @@ let trace_cmd =
     let _, finish_metrics =
       setup_metrics ~recorder:(Some recorder) ~metrics_out ~metrics_every
     in
-    match run_algo ?fault ~recorder ~ckpt_every algo ~groups ~seed comp spec with
+    match run_algo ?fault ~recorder algo ~groups ~seed comp spec with
     | None -> ()
     | Some r ->
         write_trace recorder ~path:out ~format;
@@ -645,8 +634,7 @@ let trace_cmd =
     Term.(
       const (fun () -> run) $ setup_logs $ trace_arg $ algo_arg $ groups_arg
       $ procs_arg $ seed_arg $ out $ format $ drop_arg $ dup_arg $ crash_arg
-      $ restart_arg $ ckpt_every_arg $ fault_seed_arg $ metrics_out_arg
-      $ metrics_every_arg)
+      $ restart_arg $ fault_seed_arg $ metrics_out_arg $ metrics_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -1098,8 +1086,8 @@ let chaos_cmd =
       & opt (enum (List.map (fun a -> (Algo.name a, a)) under_test)) Algo.Token_vc
       & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
   in
-  let run trace algo groups procs seed drop dup crashes restarts ckpt_every
-      fault_seed trace_out trace_format metrics_out metrics_every =
+  let run trace algo groups procs seed drop dup crashes restarts fault_seed
+      trace_out trace_format metrics_out metrics_every =
     let comp = load_trace trace in
     let spec = spec_of comp procs in
     let fault =
@@ -1114,7 +1102,7 @@ let chaos_cmd =
       setup_metrics ~recorder ~metrics_out ~metrics_every
     in
     let r =
-      Algo.run algo ~fault ?recorder ~ckpt_every ~groups
+      Algo.run algo ~fault ?recorder ~groups
         ~options:Detection.default_options ~seed comp spec
     in
     (match (recorder, trace_out) with
@@ -1142,9 +1130,9 @@ let chaos_cmd =
        output stays byte-identical to the pre-recovery pins. *)
     if restarts <> [] then
       Format.printf
-        "recovery restarts=%d ckpt-every=%d: checkpoints=%d restores=%d \
-         replayed=%d wd-stand-downs=%d@."
-        (List.length restarts) ckpt_every (Stats.checkpoints st)
+        "recovery restarts=%d: checkpoints=%d restores=%d replayed=%d \
+         wd-stand-downs=%d@."
+        (List.length restarts) (Stats.checkpoints st)
         (Stats.restores st) (Stats.replayed st)
         (Stats.wd_stand_downs st);
     finish_metrics ()
@@ -1155,8 +1143,8 @@ let chaos_cmd =
          "Run a token algorithm under a deterministic fault plan and compare           its verdict with the fault-free oracle.")
     Term.(
       const run $ trace_arg $ algo $ groups_arg $ procs_arg $ seed_arg
-      $ drop_arg $ dup_arg $ crash_arg $ restart_arg $ ckpt_every_arg
-      $ fault_seed_arg $ trace_out_arg $ trace_format_arg $ metrics_out_arg
+      $ drop_arg $ dup_arg $ crash_arg $ restart_arg $ fault_seed_arg
+      $ trace_out_arg $ trace_format_arg $ metrics_out_arg
       $ metrics_every_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -34,23 +34,23 @@ let fault_ok = function
   | Token_vc | Multi_token | Token_dd | Token_dd_par -> true
   | Checker | Parallel -> false
 
-let run a ?fault ?recorder ?ckpt_every ?(groups = 2) ?domains ?(slice = false)
+let run a ?fault ?recorder ?(groups = 2) ?domains ?(slice = false)
     ~options ~seed comp spec =
   if Option.is_some fault && not (fault_ok a) then
     invalid_arg ("Algo.run: no fault injection for " ^ name a);
   let dense comp spec =
     match a with
     | Token_vc ->
-        Token_vc.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
+        Token_vc.detect ?fault ?recorder ~options ~seed comp spec
     | Multi_token ->
-        Token_multi.detect ?fault ?recorder ?ckpt_every ~options
+        Token_multi.detect ?fault ?recorder ~options
           ~groups:(min groups (Spec.width spec))
           ~seed comp spec
     | Token_dd ->
-        Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~seed comp spec
+        Token_dd.detect ?fault ?recorder ~options ~seed comp spec
     | Token_dd_par ->
-        Token_dd.detect ?fault ?recorder ?ckpt_every ~options ~parallel:true
-          ~seed comp spec
+        Token_dd.detect ?fault ?recorder ~options ~parallel:true ~seed comp
+          spec
     | Checker -> Checker_centralized.detect ?recorder ~options ~seed comp spec
     | Parallel ->
         Checker_parallel.detect ?recorder ?domains ~options ~seed comp spec

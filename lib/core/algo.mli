@@ -60,7 +60,6 @@ val run :
   t ->
   ?fault:Wcp_sim.Fault.plan ->
   ?recorder:Wcp_obs.Recorder.t ->
-  ?ckpt_every:int ->
   ?groups:int ->
   ?domains:int ->
   ?slice:bool ->
@@ -69,10 +68,10 @@ val run :
   Computation.t ->
   Spec.t ->
   Detection.result
-(** Run the detector on the computation. [fault] and [ckpt_every] go
-    to the token algorithms (see {!Token_vc.detect}); [groups]
-    (default 2, clamped to the spec width) to multi-token; [domains]
-    to the parallel checker. A parameter another detector does not
+(** Run the detector on the computation. [fault] goes to the token
+    algorithms (see {!Token_vc.detect}); [groups] (default 2, clamped
+    to the spec width) to multi-token; [domains] to the parallel
+    checker. A parameter another detector does not
     take is ignored.
 
     [slice] (default [false]) runs the detector on the computation

@@ -13,12 +13,12 @@
     [decode (encode t)] reproduces [t] exactly (QCheck-pinned in the
     test suite).
 
-    Capture discipline: the detectors capture {e after} every k-th
-    handled message ([--ckpt-every k], default 1). At [k = 1] a
-    restore is an exact state transfer — the checkpoint equals the
-    post-message state, nothing is re-executed, and the transport
-    reconnect handshake replays only frames the restored state has
-    genuinely not consumed. *)
+    Capture discipline: a restarting monitor is captured {e after}
+    every handled message ({!Run_common.wire_monitors}; there is no
+    other cadence). A restore is therefore an exact state transfer —
+    the checkpoint equals the post-message state, nothing is
+    re-executed, and the transport reconnect handshake replays only
+    frames the restored state has genuinely not consumed. *)
 
 open Wcp_clocks
 

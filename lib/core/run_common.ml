@@ -48,13 +48,10 @@ let raw_net engine =
 type recovery = {
   transport : Messages.t Transport.t;
   restarts : Fault.window list;
-  every : int;
 }
 
 let wire_recovery engine (r : recovery) ~owns ~capture ~restore =
-  if r.every < 1 then invalid_arg "Run_common.wire_recovery: every must be >= 1";
   let store : (int, string) Hashtbl.t = Hashtbl.create 4 in
-  let counts : (int, int) Hashtbl.t = Hashtbl.create 4 in
   let procs =
     List.filter_map
       (fun (w : Fault.window) ->
@@ -117,14 +114,7 @@ let wire_recovery engine (r : recovery) ~owns ~capture ~restore =
                           (Wcp_obs.Event.Phase_marked { name = "recovery" }));
                     Transport.reconnect r.transport ctx ~proc:w.Fault.proc))
     r.restarts;
-  fun proc ctx ->
-    if Hashtbl.mem store proc then begin
-      let k =
-        (match Hashtbl.find_opt counts proc with Some k -> k | None -> 0) + 1
-      in
-      Hashtbl.replace counts proc k;
-      if k mod r.every = 0 then snap ~ctx proc
-    end
+  fun proc ctx -> if Hashtbl.mem store proc then snap ~ctx proc
 
 (* Install [handler] for every monitor cell and, under a recovery
    bundle, capture after each handled message. The returned hook
@@ -169,8 +159,7 @@ type wiring = {
   recovery : recovery option;
 }
 
-let chaos_wiring engine ~fault ~outcome ~ckpt_every =
-  if ckpt_every < 1 then invalid_arg "detect: ckpt_every must be >= 1";
+let chaos_wiring engine ~fault ~outcome =
   match fault with
   | Some f when not (Fault.is_none f) ->
       (* Under a plan with [Fault.Restart] windows the transport must
@@ -198,8 +187,7 @@ let chaos_wiring engine ~fault ~outcome ~ckpt_every =
             };
         watchdog = Some (fun () -> Watchdog.create ~reprobe:restarts ());
         recovery =
-          (if restarts then
-             Some { transport; restarts = Fault.restarts f; every = ckpt_every }
+          (if restarts then Some { transport; restarts = Fault.restarts f }
            else None);
       }
   | _ -> { net = None; watchdog = None; recovery = None }

@@ -64,8 +64,10 @@ type recovery = {
   transport : Messages.t Wcp_sim.Transport.t;
       (** the run's reliable transport, created with [~recovery:true] *)
   restarts : Fault.window list;  (** the plan's [Restart] windows *)
-  every : int;  (** capture after every [every]-th handled message *)
 }
+(** A run's crash-recovery bundle. {!wire_monitors} checkpoints each
+    restarting monitor after every handled message, so a restore is an
+    exact state transfer (see {!Checkpoint}). *)
 
 val wire_monitors :
   Messages.t Engine.t ->
@@ -81,18 +83,16 @@ val wire_monitors :
     [id m]). Under [recovery], also wire checkpoint capture and
     deterministic restore for every [Restart] window aimed at one of
     these ids: seed an initial checkpoint per restarting monitor,
-    capture after {e every} handled message (encoding a fresh
-    checkpoint every [recovery.every]-th one), and at each window's
-    [until_t] decode the stored checkpoint, hand it to [restore] for
-    the algorithm and watchdog state, rebuild the transport flows and
-    run the {!Wcp_sim.Transport.reconnect} handshake. Checkpoints
-    cross the capture/restore boundary only as encoded strings, so
-    the codec itself is on the recovery path.
+    encode a fresh checkpoint after {e every} handled message, and at
+    each window's [until_t] decode the stored checkpoint, hand it to
+    [restore] for the algorithm and watchdog state, rebuild the
+    transport flows and run the {!Wcp_sim.Transport.reconnect}
+    handshake. Checkpoints cross the capture/restore boundary only as
+    encoded strings, so the codec itself is on the recovery path.
 
     Returns the capture hook, for state changes that happen outside a
     handler (the injected initial token); it no-ops without
-    [recovery] and for monitors that never restart.
-    @raise Invalid_argument if [recovery.every < 1]. *)
+    [recovery] and for monitors that never restart. *)
 
 (** {2 Fault wiring} *)
 
@@ -108,7 +108,6 @@ val chaos_wiring :
   Messages.t Engine.t ->
   fault:Fault.plan option ->
   outcome:Detection.outcome option ref ->
-  ckpt_every:int ->
   wiring
 (** The fault-mode wiring shared by the token detectors. No plan (or
     {!Fault.none}) → everything [None], the exact fault-free
@@ -120,8 +119,7 @@ val chaos_wiring :
     watchdog maker. A plan with [Fault.Restart] windows additionally
     gets a recovery-mode transport (acked frames retained for
     replay), monitor-liveness ([~reprobe:true]) watchdogs and the
-    {!recovery} bundle capturing every [ckpt_every]-th message.
-    @raise Invalid_argument if [ckpt_every < 1]. *)
+    {!recovery} bundle for {!wire_monitors}. *)
 
 (** {2 Watchdog leases} *)
 

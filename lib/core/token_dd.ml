@@ -403,8 +403,8 @@ let check_invariants comp ~g ~color ~next_red ~next =
   done
 
 let detect ?network ?fault ?recorder ?(parallel = false)
-    ?(invariant_checks = false) ?start_at ?(ckpt_every = 1)
-    ?(options = Detection.default_options) ~seed comp spec =
+    ?(invariant_checks = false) ?start_at ?(options = Detection.default_options)
+    ~seed comp spec =
   let { Detection.gated; delta } = options in
   let n = Computation.n comp in
   let engine = Run_common.make_engine ?network ?fault ?recorder ~seed comp in
@@ -423,7 +423,7 @@ let detect ?network ?fault ?recorder ?(parallel = false)
     else None
   in
   let { Run_common.net; watchdog; recovery } =
-    Run_common.chaos_wiring engine ~fault ~outcome ~ckpt_every
+    Run_common.chaos_wiring engine ~fault ~outcome
   in
   let watchdog = Option.map (fun make -> make ()) watchdog in
   let monitors =

@@ -87,7 +87,6 @@ val detect :
   ?parallel:bool ->
   ?invariant_checks:bool ->
   ?start_at:int ->
-  ?ckpt_every:int ->
   ?options:Detection.options ->
   seed:int64 ->
   Computation.t ->
@@ -95,10 +94,9 @@ val detect :
   Detection.result
 (** The [Detected] cut spans all [N] processes; project it with
     {!Detection.project_outcome} to compare against the oracle.
-    [fault] and [ckpt_every] as in {!Token_vc.detect}: reliable
-    transport + token watchdog + graceful [Undetectable_crashed]
-    degradation, with checkpointed crash recovery under
-    [Fault.Restart] windows.
+    [fault] as in {!Token_vc.detect}: reliable transport + token
+    watchdog + graceful [Undetectable_crashed] degradation, with
+    checkpointed crash recovery under [Fault.Restart] windows.
     [options] as in {!Token_vc.detect}; for this algorithm [delta]
     packs §4.1 snapshot dependences ({!Wire.encode_dd}) and prices
     polls at their packed size ({!Wire.poll_bits}) — red-chain

@@ -14,8 +14,7 @@ type leader = {
 type assignment = Round_robin | Blocks
 
 let detect ?network ?fault ?recorder ?(assignment = Round_robin)
-    ?(ckpt_every = 1) ?(options = Detection.default_options) ~groups ~seed comp
-    spec =
+    ?(options = Detection.default_options) ~groups ~seed comp spec =
   let { Detection.gated; delta } = options in
   let n = Computation.n comp in
   let width = Spec.width spec in
@@ -31,7 +30,7 @@ let detect ?network ?fault ?recorder ?(assignment = Round_robin)
   let merges = ref 0 in
   let snapshots = ref 0 in
   let { Run_common.net; watchdog; recovery } =
-    Run_common.chaos_wiring engine ~fault ~outcome ~ckpt_every
+    Run_common.chaos_wiring engine ~fault ~outcome
   in
   let monitor_id k = Run_common.monitor_of ~n (Spec.proc spec k) in
   let group_of =

@@ -31,7 +31,6 @@ val detect :
   ?fault:Fault.plan ->
   ?recorder:Wcp_obs.Recorder.t ->
   ?assignment:assignment ->
-  ?ckpt_every:int ->
   ?options:Detection.options ->
   groups:int ->
   seed:int64 ->
@@ -40,11 +39,11 @@ val detect :
   Detection.result
 (** [assignment] (default {!Round_robin}) is the §3.5 partition of the
     monitors into groups — the paper leaves it open; bench E10 ablates
-    the choice. [fault] and [ckpt_every] as in {!Token_vc.detect}:
-    reliable transport, one watchdog per group token, graceful
-    [Undetectable_crashed] degradation, and checkpointed crash recovery
-    for the group monitors under [Fault.Restart] windows (the leader is
-    not restartable). [options] as in {!Token_vc.detect}: wire encoding
+    the choice. [fault] as in {!Token_vc.detect}: reliable transport,
+    one watchdog per group token, graceful [Undetectable_crashed]
+    degradation, and checkpointed crash recovery for the group
+    monitors under [Fault.Restart] windows (the leader is not
+    restartable). [options] as in {!Token_vc.detect}: wire encoding
     ([delta]) and interval gating ([gated]); detection behaviour
     identical under every setting.
     @raise Invalid_argument if [groups < 1] or [groups > Spec.width]. *)

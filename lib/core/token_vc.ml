@@ -205,12 +205,14 @@ let install engine ~n_app ~wcp_procs ?net ?(watchdog = fun _ -> None) ?forward
           end;
           process ctx m g color)
     | Messages.Green ->
-      (* A token reaches a monitor whose own entry is already green
-         only as a replayed frame after a restore from a sparse
-         checkpoint ([ckpt_every > 1]): the frame's arrays already
-         carry this monitor's eliminations from before the crash, and
-         the restored monitor may have no candidate at all. There is
-         nothing left to eliminate, so forward it unchanged. *)
+      (* Normally entered from the red branch, once this monitor's
+         candidate has turned its entry green. A green entry with no
+         candidate consumed ([m.last = None]) is not reached in the
+         recovery sweep ([make recovery-soak]): the checkpoint taken
+         after every handled message means a restore never rolls a
+         monitor back past a token visit. Until exhaustive schedule
+         exploration proves that case dead, forward the token
+         unchanged rather than fail. *)
       (match m.last with
       | None -> ()
       | Some cand ->
@@ -357,7 +359,7 @@ let start engine monitors =
     monitors.start_token
 
 let detect ?network ?fault ?recorder ?(invariant_checks = false) ?start_at
-    ?(ckpt_every = 1) ?(options = Detection.default_options) ~seed comp spec =
+    ?(options = Detection.default_options) ~seed comp spec =
   let { Detection.gated; delta } = options in
   let n = Computation.n comp in
   let width = Spec.width spec in
@@ -370,7 +372,7 @@ let detect ?network ?fault ?recorder ?(invariant_checks = false) ?start_at
     if invariant_checks then Some (check_invariants comp spec) else None
   in
   let { Run_common.net; watchdog; recovery } =
-    Run_common.chaos_wiring engine ~fault ~outcome ~ckpt_every
+    Run_common.chaos_wiring engine ~fault ~outcome
   in
   (* One watchdog, handed from monitor to monitor with the token. *)
   let wd = Option.map (fun make -> make ()) watchdog in

@@ -130,7 +130,6 @@ val detect :
   ?recorder:Wcp_obs.Recorder.t ->
   ?invariant_checks:bool ->
   ?start_at:int ->
-  ?ckpt_every:int ->
   ?options:Detection.options ->
   seed:int64 ->
   Computation.t ->
@@ -153,10 +152,9 @@ val detect :
     peer yields [Undetectable_crashed] instead of a hang. Passing
     [Fault.none] is identical to omitting [fault]. When the plan has
     [Fault.Restart] windows the run additionally checkpoints each
-    restarting monitor after every [ckpt_every]-th handled message
-    (default 1, the exact-state-transfer anchor — see
-    [Checkpoint]) and rebuilds it from the last checkpoint at window
-    end, replaying unconsumed transport frames.
+    restarting monitor after every handled message (an exact state
+    transfer — see [Checkpoint]) and rebuilds it from that checkpoint
+    at window end, replaying unconsumed transport frames.
 
     [options] (default {!Detection.default_options}) bundles the
     per-run knobs shared by every detector. [options.delta] runs the
